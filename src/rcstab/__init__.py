@@ -10,7 +10,6 @@ from .dynamics import (
     ShiftedNode,
     Sigmoid,
     ratio_candidates,
-    stationarity_roots,
     with_param,
 )
 from .network import (
@@ -23,13 +22,14 @@ from .network import (
 )
 from .reservoir import (
     DriveResult,
+    RuntimeParams,
     TrainingResult,
     build_omega,
     drive_continuous,
     drive_discrete,
     fit_readout,
     spread,
-    training_error,
+    train,
 )
 from .signals import (
     SignalPair,
@@ -51,13 +51,11 @@ from .stability import (
     fixed_point,
     kstar_continuous,
     kstar_discrete,
-    kstar_nonhomogeneous,
     linear_stability,
 )
 from .sweep import (
     BasinMap,
     GridSpec,
-    RuntimeParams,
     SweepConfig,
     SweepRecord,
     basin_map,

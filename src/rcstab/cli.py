@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     RcstabError,
     SpectralRadiusError,
 )
-from .network import ReservoirNetwork, alpha_max, construct_adjacency, critical_shifts
+from .network import ReservoirNetwork, construct_adjacency
 from .signals import SignalSpec
 
 EXIT_OK = 0
@@ -63,11 +64,20 @@ def _section(cfg: dict, name: str) -> dict:
     return block
 
 
-def _build_dynamics(cfg: dict) -> dynamics.NodalDynamics:
+@contextmanager
+def _config_values():
+    """Turn a missing, mistyped or out-of-range value met while building a
+    command's inputs from the config into a ConfigError (exit code 2)."""
     try:
-        return dynamics.from_config(_section(cfg, "dynamics"))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"dynamics section: {exc}")
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"missing config key {exc}") from exc
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
+def _build_dynamics(cfg: dict) -> dynamics.NodalDynamics:
+    return dynamics.from_config(_section(cfg, "dynamics"))
 
 
 def _build_network(cfg: dict, seed_override=None) -> ReservoirNetwork:
@@ -94,23 +104,20 @@ def _build_network(cfg: dict, seed_override=None) -> ReservoirNetwork:
 
 def _build_signal(cfg: dict) -> SignalSpec:
     sig = cfg.get("signal") or {}
-    try:
-        return SignalSpec(
-            source=sig.get("source", "lorenz"),
-            input_component=sig.get("input_component", "x"),
-            target_component=sig.get("target_component", "z"),
-            dt=float(sig.get("dt", 0.02)),
-            transient_steps=int(sig.get("transient_steps", 5000)),
-            initial=tuple(sig["initial"]) if "initial" in sig else None,
-            params=sig.get("params"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"signal section: {exc}")
+    return SignalSpec(
+        source=sig.get("source", "lorenz"),
+        input_component=sig.get("input_component", "x"),
+        target_component=sig.get("target_component", "z"),
+        dt=float(sig.get("dt", 0.02)),
+        transient_steps=int(sig.get("transient_steps", 5000)),
+        initial=tuple(sig["initial"]) if "initial" in sig else None,
+        params=sig.get("params"),
+    )
 
 
-def _runtime(cfg: dict) -> sweep.RuntimeParams:
+def _runtime(cfg: dict) -> reservoir.RuntimeParams:
     rt = cfg.get("runtime") or {}
-    return sweep.RuntimeParams(
+    return reservoir.RuntimeParams(
         transient=int(rt.get("transient", 2000)),
         n_keep=int(rt.get("n_keep", 10000)),
         dt=float(rt.get("dt", 0.02)),
@@ -178,17 +185,16 @@ def _report_payload(report: stability.StabilityReport) -> dict:
 
 
 def cmd_analyze(cfg: dict, out_dir: Path, args) -> int:
-    f = _build_dynamics(cfg)
-    net = _build_network(cfg, args.seed)
-    kind = _time_kind(cfg)
+    with _config_values():
+        f = _build_dynamics(cfg)
+        net = _build_network(cfg, args.seed)
+        kind = _time_kind(cfg)
     report = stability.analyze(net, f, kind)
     payload = _report_payload(report)
     if kind == "continuous":
-        payload["alpha_max"] = alpha_max(net.a)
+        payload["alpha_max"] = -report.threshold
     else:
-        spectral = critical_shifts(net.a)
-        payload["rho_minus"] = spectral.rho_minus
-        payload["rho_plus"] = spectral.rho_plus
+        payload["rho_minus"], payload["rho_plus"] = report.threshold
     c_txt = "inf" if math.isinf(report.c_max) else f"{report.c_max:.6f}"
     print(f"regime={report.regime.value} c_max={c_txt}")
     if kind == "continuous":
@@ -203,20 +209,18 @@ def cmd_analyze(cfg: dict, out_dir: Path, args) -> int:
 
 
 def cmd_train(cfg: dict, out_dir: Path, args) -> int:
-    f = _build_dynamics(cfg)
-    net = _build_network(cfg, args.seed)
-    kind = _time_kind(cfg)
-    rt = _runtime(cfg)
-    spec = _build_signal(cfg)
+    with _config_values():
+        f = _build_dynamics(cfg)
+        net = _build_network(cfg, args.seed)
+        kind = _time_kind(cfg)
+        rt = _runtime(cfg)
+        spec = _build_signal(cfg)
     if kind == "continuous" and spec.dt != rt.dt:
         raise ConfigError(
             f"continuous drive step {rt.dt} must equal signal dt {spec.dt}"
         )
     pair = spec.build(rt.transient + rt.n_keep)
-    if kind == "continuous":
-        drive = reservoir.drive_continuous(net, f, pair.input, rt.dt)
-    else:
-        drive = reservoir.drive_discrete(net, f, pair.input)
+    drive, fitted = reservoir.train(net, f, pair, kind, rt)
     payload = {
         "diverged": drive.diverged,
         "seed": args.seed if args.seed is not None else net.seed,
@@ -226,13 +230,10 @@ def cmd_train(cfg: dict, out_dir: Path, args) -> int:
         payload.update(delta_rc=None, k=None, divergence_step=drive.divergence_step)
         print(f"status=diverged at step {drive.divergence_step}")
     else:
-        omega = reservoir.build_omega(drive, rt.transient, rt.n_keep)
-        g = pair.target[rt.transient : rt.transient + rt.n_keep]
-        fitted = reservoir.fit_readout(omega, g)
         payload.update(delta_rc=fitted.delta_rc, k=fitted.k)
         print(f"delta_rc={fitted.delta_rc:.6f}")
         if args.dump_omega:
-            np.savetxt(out_dir / "omega.csv", omega, delimiter=",", fmt="%.17g")
+            np.savetxt(out_dir / "omega.csv", fitted.omega, delimiter=",", fmt="%.17g")
     _write_json(out_dir / "training.json", payload)
     _write_manifest(out_dir, "train", cfg, args.seed)
     return EXIT_OK
@@ -240,37 +241,35 @@ def cmd_train(cfg: dict, out_dir: Path, args) -> int:
 
 def _build_sweep_config(cfg: dict, args) -> sweep.SweepConfig:
     sw = _section(cfg, "sweep")
-    try:
-        ax, ay = sw["axis_x"], sw["axis_y"]
-        grid = sweep.GridSpec(
-            x_min=float(ax["min"]), x_max=float(ax["max"]), x_steps=int(ax["steps"]),
-            y_min=float(ay["min"]), y_max=float(ay["max"]), y_steps=int(ay["steps"]),
-        )
-        topo = _section(cfg, "topology")
-        base_seed = int(sw.get("base_seed", topo.get("seed", 0)))
-        if args.seed is not None:
-            base_seed = int(args.seed)
-        return sweep.SweepConfig(
-            time_kind=_time_kind(cfg),
-            template=_build_dynamics(cfg),
-            axis_x=ax["param"],
-            axis_y=ay["param"],
-            grid=grid,
-            m=int(topo.get("m", 100)),
-            n_realizations=int(sw.get("n_realizations", 1)),
-            base_seed=base_seed,
-            spectral_target=float(topo.get("spectral_target", 0.5)),
-            input_coupling=topo.get("input_coupling", "uniform"),
-            task=_build_signal(cfg),
-            runtime=_runtime(cfg),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"sweep section is missing key {exc}")
+    ax, ay = sw["axis_x"], sw["axis_y"]
+    grid = sweep.GridSpec(
+        x_min=float(ax["min"]), x_max=float(ax["max"]), x_steps=int(ax["steps"]),
+        y_min=float(ay["min"]), y_max=float(ay["max"]), y_steps=int(ay["steps"]),
+    )
+    topo = _section(cfg, "topology")
+    base_seed = int(sw.get("base_seed", topo.get("seed", 0)))
+    if args.seed is not None:
+        base_seed = int(args.seed)
+    return sweep.SweepConfig(
+        time_kind=_time_kind(cfg),
+        template=_build_dynamics(cfg),
+        axis_x=ax["param"],
+        axis_y=ay["param"],
+        grid=grid,
+        m=int(topo.get("m", 100)),
+        n_realizations=int(sw.get("n_realizations", 1)),
+        base_seed=base_seed,
+        spectral_target=float(topo.get("spectral_target", 0.5)),
+        input_coupling=topo.get("input_coupling", "uniform"),
+        task=_build_signal(cfg),
+        runtime=_runtime(cfg),
+    )
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, args) -> int:
-    config = _build_sweep_config(cfg, args)
-    records = sweep.run_sweep(config, threads=args.threads)
+    with _config_values():
+        config = _build_sweep_config(cfg, args)
+    records = sweep.run_sweep(config)
     if args.format == "json":
         _write_json(
             out_dir / "sweep.json", {"records": [vars(r) for r in records]}
@@ -290,18 +289,18 @@ def cmd_sweep(cfg: dict, out_dir: Path, args) -> int:
 
 
 def cmd_basin(cfg: dict, out_dir: Path, args) -> int:
-    f = _build_dynamics(cfg)
-    net = _build_network(cfg, args.seed)
-    basin_cfg = cfg.get("basin") or {}
-    window = basin_cfg.get("window", [[-4.0, 4.0], [-4.0, 4.0]])
-    basin = sweep.basin_map(
-        net,
-        f,
-        window=((window[0][0], window[0][1]), (window[1][0], window[1][1])),
-        resolution=int(basin_cfg.get("resolution", 200)),
-        t_final=float(basin_cfg.get("t_final", 50.0)),
-        dt=float(basin_cfg.get("dt", 0.02)),
-    )
+    with _config_values():
+        f = _build_dynamics(cfg)
+        net = _build_network(cfg, args.seed)
+        basin_cfg = cfg.get("basin") or {}
+        (r1_lo, r1_hi), (r2_lo, r2_hi) = basin_cfg.get("window", [[-4.0, 4.0], [-4.0, 4.0]])
+        options = dict(
+            window=((float(r1_lo), float(r1_hi)), (float(r2_lo), float(r2_hi))),
+            resolution=int(basin_cfg.get("resolution", 200)),
+            t_final=float(basin_cfg.get("t_final", 50.0)),
+            dt=float(basin_cfg.get("dt", 0.02)),
+        )
+    basin = sweep.basin_map(net, f, **options)
     sweep.write_basin_csv(basin, out_dir / "basin.csv")
     frac = float(basin.converged.mean())
     print(f"converged fraction over window: {frac:.4f}")
@@ -326,12 +325,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="rcstab-out", help="output directory")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="sweep worker count (default: RCSTAB_THREADS or 1)",
-    )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
         "--dump-omega", action="store_true", help="also write the regression matrix"
@@ -341,9 +334,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("RCSTAB_THREADS")
-        args.threads = int(env) if env else None
     try:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)

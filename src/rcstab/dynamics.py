@@ -307,6 +307,10 @@ def _scan_stationary_points(f: NodalDynamics, c: float) -> list[float]:
             "stationarity scan produced non-finite values",
             residual=float(np.nanmax(np.abs(vals))),
         )
+    if not np.any(vals):
+        # r*f'(r) - f(r) vanishes identically (e.g. a sigmoid with p1 = 0): the
+        # ratio f(r)/r is constant and the endpoint chords already carry it
+        return []
     roots: list[float] = []
     sign = np.sign(vals)
     exact = np.where(vals == 0.0)[0]
@@ -359,13 +363,6 @@ class RatioCandidates:
         return min(self.values())
 
 
-def stationarity_roots(f: NodalDynamics, c: float) -> list[float]:
-    """All r in [-c, c], r != 0, with r*f'(r) - f(r) = 0."""
-    if not c > 0:
-        raise ValueError(f"radius must be positive, got {c}")
-    return f.interior_stationary_points(float(c))
-
-
 def ratio_candidates(f: NodalDynamics, c: float) -> RatioCandidates:
     """Enumerate every possible extremum of f(r)/r over [-c, c]."""
     if not c > 0:
@@ -376,7 +373,7 @@ def ratio_candidates(f: NodalDynamics, c: float) -> RatioCandidates:
             "for dynamics that do not vanish at the origin"
         )
     c = float(c)
-    roots = stationarity_roots(f, c)
+    roots = f.interior_stationary_points(c)
     interior = tuple((r, float(f.raw(r) / r)) for r in roots)
     return RatioCandidates(
         at_plus_c=float(f.raw(c) / c),

@@ -16,11 +16,19 @@ import numpy as np
 from .dynamics import NodalDynamics
 from .errors import DegenerateTargetError, TruncatedRunError
 from .network import ReservoirNetwork
+from .signals import SignalPair, rk4_steps
 
 #: infinity-norm level at which a run is declared divergent
 DIVERGENCE_THRESHOLD = 1e6
 #: relative singular-value cutoff defining the pseudo-inverse rank
 SVD_CUTOFF = 1e-12
+
+
+@dataclass(frozen=True)
+class RuntimeParams:
+    transient: int = 2000
+    n_keep: int = 10000
+    dt: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -88,17 +96,15 @@ def drive_continuous(
     a, w = network.a, network.w
     r = np.zeros(network.m) if initial is None else np.array(initial, dtype=float)
     states = np.empty((s.shape[0], network.m))
+
+    def rhs(_t, y):
+        return f.raw(y) + a @ y + drive
+
+    stepper = rk4_steps(rhs, r, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(s.shape[0]):
-            drive = w * s[n]
-            k1 = f.raw(r) + a @ r + drive
-            r2 = r + 0.5 * dt * k1
-            k2 = f.raw(r2) + a @ r2 + drive
-            r3 = r + 0.5 * dt * k2
-            k3 = f.raw(r3) + a @ r3 + drive
-            r4 = r + dt * k3
-            k4 = f.raw(r4) + a @ r4 + drive
-            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            drive = w * s[n]  # held by rhs over the whole step
+            r = next(stepper)
             if not _check_state(r):
                 return DriveResult(states[:n].copy(), diverged=True, divergence_step=n)
             states[n] = r
@@ -145,11 +151,27 @@ def fit_readout(omega, g) -> TrainingResult:
     )
 
 
-def training_error(result: TrainingResult, g) -> float:
-    """spread(fit - g) / spread(g); the residual's own mean is removed by
-    the spread operator."""
-    g = np.asarray(g, dtype=float)
-    denom = spread(g)
-    if denom == 0.0:
-        raise DegenerateTargetError("target sequence is constant")
-    return spread(result.fit - g) / denom
+def train(
+    network: ReservoirNetwork,
+    f: NodalDynamics,
+    pair: SignalPair,
+    time_kind: str,
+    runtime: RuntimeParams,
+) -> tuple[DriveResult, TrainingResult | None]:
+    """Drive the reservoir with pair.input and fit the readout to pair.target
+    over the post-transient window.
+
+    Returns the drive and the fitted readout, or None in place of the readout
+    when the drive diverged.
+    """
+    if time_kind == "continuous":
+        drive = drive_continuous(network, f, pair.input, runtime.dt)
+    elif time_kind == "discrete":
+        drive = drive_discrete(network, f, pair.input)
+    else:
+        raise ValueError(f"time_kind must be continuous or discrete: {time_kind!r}")
+    if drive.diverged:
+        return drive, None
+    omega = build_omega(drive, runtime.transient, runtime.n_keep)
+    g = pair.target[runtime.transient : runtime.transient + runtime.n_keep]
+    return drive, fit_readout(omega, g)

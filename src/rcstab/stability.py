@@ -32,10 +32,13 @@ from .dynamics import (
 )
 from .errors import FixedPointError, InfeasibleTopologyError
 from .network import ReservoirNetwork, SpectralSummary, alpha_max, critical_shifts
+from .signals import rk4_steps
 
 _CMAX_REL_TOL = 1e-9
 _CMAX_CAP = 1e6
 _CMAX_START = 1e-3
+#: final-state norm below which an unforced trajectory counts as converged
+CONVERGED_NORM = 1e-4
 
 
 class Regime(str, enum.Enum):
@@ -77,6 +80,21 @@ def kstar_discrete(f: NodalDynamics, c: float) -> tuple[float, float]:
     return (cands.minimum, cands.maximum)
 
 
+def bisect_flip(pred, lo: float, hi: float, abs_tol: float, rel_tol: float = 0.0):
+    """Narrow [lo, hi] around the single flip of pred, where pred(lo) holds and
+    pred(hi) does not, until hi - lo <= max(rel_tol * max(lo, 1e-12), abs_tol).
+
+    Returns the final (lo, hi); pred still holds at lo and fails at hi.
+    """
+    while (hi - lo) > max(rel_tol * max(lo, 1e-12), abs_tol):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _largest_admissible(pred, start=_CMAX_START, cap=_CMAX_CAP):
     """Largest c with pred(c) true, assuming pred flips true->false once.
 
@@ -100,12 +118,7 @@ def _largest_admissible(pred, start=_CMAX_START, cap=_CMAX_CAP):
             hi *= 2.0
             if hi > cap:
                 return lo, False
-    while (hi - lo) > _CMAX_REL_TOL * max(lo, 1e-12) and (hi - lo) > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = bisect_flip(pred, lo, hi, abs_tol=1e-15, rel_tol=_CMAX_REL_TOL)
     return lo, True
 
 
@@ -296,11 +309,6 @@ def fixed_point(
     return ShiftedDynamics(f, q, offsets)
 
 
-def kstar_nonhomogeneous(shifted: ShiftedDynamics, c: float) -> tuple[float, float]:
-    """Bracket (K-, K+) aggregating per-node candidates by min_i / max_i."""
-    return shifted.kpair(c)
-
-
 def cmax_discrete(
     dyn: NodalDynamics | ShiftedDynamics, spectral: SpectralSummary
 ) -> StabilityReport:
@@ -411,17 +419,23 @@ def simulate_unforced(
     r = np.array(np.atleast_2d(initials), dtype=float)
     steps = int(round(t_final / dt))
 
-    def rhs(state):
+    def rhs(_t, state):
         return f.raw(state) + state @ a_t
 
+    stepper = rk4_steps(rhs, r, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            k1 = rhs(r)
-            k2 = rhs(r + 0.5 * dt * k1)
-            k3 = rhs(r + 0.5 * dt * k2)
-            k4 = rhs(r + dt * k3)
-            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            r = next(stepper)
     return r
+
+
+def converged(
+    network: ReservoirNetwork, f: NodalDynamics, initials, t_final: float, dt: float
+) -> np.ndarray:
+    """Per initial condition, whether the unforced trajectory's norm at
+    t_final is below CONVERGED_NORM; a diverged (non-finite) row is not."""
+    finals = simulate_unforced(network, f, initials, t_final, dt)
+    return np.linalg.norm(finals, axis=1) < CONVERGED_NORM
 
 
 def basin_verify(
@@ -436,8 +450,8 @@ def basin_verify(
     """Monte Carlo check of the certified ball.
 
     Samples initial conditions uniformly in the ball of radius c, integrates
-    the unforced dynamics, and returns the fraction whose final norm is below
-    1e-4.  Divergence counts as non-converging, never as an error.
+    the unforced dynamics, and returns the fraction that `converged`.
+    Divergence counts as non-converging, never as an error.
     """
     if not c > 0:
         raise ValueError(f"radius must be positive, got {c}")
@@ -446,10 +460,7 @@ def basin_verify(
     direction = rng.normal(size=(n_samples, m))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radii = c * rng.uniform(size=(n_samples, 1)) ** (1.0 / m)
-    finals = simulate_unforced(network, f, radii * direction, t_final, dt)
-    norms = np.linalg.norm(finals, axis=1)
-    converged = np.where(np.isfinite(norms), norms < 1e-4, False)
-    return float(converged.mean())
+    return float(converged(network, f, radii * direction, t_final, dt).mean())
 
 
 def analyze(

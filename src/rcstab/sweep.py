@@ -1,16 +1,16 @@
 """Parameter-grid experiments: stability maps, training-error maps, boundary
 curves, box-plot statistics, and two-node basin maps.
 
-Cells and realizations are independent work items run on a bounded thread
-pool; results are emitted in canonical order (x-major, then y, then
-realization) so the worker count never changes the output bytes.
+Cells run one after another in canonical order (x-major, then y, then
+realization).  Each cell goes through the same stability analysis
+(`stability.analyze`) and training pipeline (`reservoir.train`) as the
+single-run commands.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +18,8 @@ import numpy as np
 from . import reservoir, stability
 from .dynamics import NodalDynamics, with_param
 from .errors import ConfigError, RcstabError
-from .network import ReservoirNetwork, alpha_max, construct_adjacency, critical_shifts
+from .network import ReservoirNetwork, alpha_max, construct_adjacency
+from .reservoir import RuntimeParams
 from .signals import SignalSpec
 
 SWEEP_CSV_HEADER = "x,y,realization,regime,c_max,delta_rc,diverged,seed"
@@ -45,13 +46,6 @@ class GridSpec:
 
     def y_values(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.y_steps)
-
-
-@dataclass(frozen=True)
-class RuntimeParams:
-    transient: int = 2000
-    n_keep: int = 10000
-    dt: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -99,42 +93,17 @@ class SweepRecord:
     error: str | None = None
 
 
-def _analyze_cell(
-    config: SweepConfig,
-    f: NodalDynamics,
-    net: ReservoirNetwork,
-    net_spectrum,
-) -> stability.StabilityReport:
-    if config.time_kind == "continuous":
-        return stability.cmax_continuous(f, net_spectrum)
-    if f.origin_fixed():
-        return stability.cmax_discrete(f, net_spectrum)
-    return stability.cmax_discrete(stability.fixed_point(net, f), net_spectrum)
-
-
-def _run_cell(config: SweepConfig, x, y, realization, net, net_spectrum, pair):
+def _run_cell(config: SweepConfig, x, y, realization, net, pair):
     seed = config.base_seed + realization
     try:
         f = config.cell_dynamics(float(x), float(y))
-        report = _analyze_cell(config, f, net, net_spectrum)
-        regime = report.regime.value
-        c_max = report.c_max
-        rt = config.runtime
-        if config.time_kind == "continuous":
-            drive = reservoir.drive_continuous(net, f, pair.input, rt.dt)
-        else:
-            drive = reservoir.drive_discrete(net, f, pair.input)
-        if drive.diverged:
-            return SweepRecord(
-                x=float(x), y=float(y), realization=realization, regime=regime,
-                c_max=c_max, delta_rc=math.nan, diverged=True, seed=seed,
-            )
-        omega = reservoir.build_omega(drive, rt.transient, rt.n_keep)
-        g = pair.target[rt.transient : rt.transient + rt.n_keep]
-        fitted = reservoir.fit_readout(omega, g)
+        report = stability.analyze(net, f, config.time_kind)
+        drive, fitted = reservoir.train(net, f, pair, config.time_kind, config.runtime)
         return SweepRecord(
-            x=float(x), y=float(y), realization=realization, regime=regime,
-            c_max=c_max, delta_rc=fitted.delta_rc, diverged=False, seed=seed,
+            x=float(x), y=float(y), realization=realization,
+            regime=report.regime.value, c_max=report.c_max,
+            delta_rc=math.nan if fitted is None else fitted.delta_rc,
+            diverged=drive.diverged, seed=seed,
         )
     except (RcstabError, ValueError, OverflowError, np.linalg.LinAlgError) as exc:
         return SweepRecord(
@@ -144,60 +113,31 @@ def _run_cell(config: SweepConfig, x, y, realization, net, net_spectrum, pair):
         )
 
 
-def run_sweep(config: SweepConfig, threads: int | None = None) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run the full grid x realizations experiment.
 
     One network per realization (seed = base_seed + realization) is reused
     across all grid cells, and a single signal pair drives every run.
-    Per-cell failures are recorded in the cell with regime "error".
+    Per-cell failures, a realization whose spectrum fails included, are
+    recorded in the cell with regime "error".
     """
     rt = config.runtime
     pair = config.task.build(rt.transient + rt.n_keep)
-    nets = []
-    for k in range(config.n_realizations):
-        nets.append(
-            construct_adjacency(
-                config.m,
-                seed=config.base_seed + k,
-                spectral_target=config.spectral_target,
-                input_coupling=config.input_coupling,
-            )
+    nets = [
+        construct_adjacency(
+            config.m,
+            seed=config.base_seed + k,
+            spectral_target=config.spectral_target,
+            input_coupling=config.input_coupling,
         )
-    spectra = []
-    for net in nets:
-        try:
-            if config.time_kind == "continuous":
-                spectra.append(alpha_max(net.a))
-            else:
-                spectra.append(critical_shifts(net.a))
-        except RcstabError as exc:
-            # a bad realization poisons its own cells, never the sweep
-            spectra.append(exc)
-
-    work = [
-        (x, y, k)
+        for k in range(config.n_realizations)
+    ]
+    return [
+        _run_cell(config, x, y, k, nets[k], pair)
         for x in config.grid.x_values()
         for y in config.grid.y_values()
         for k in range(config.n_realizations)
     ]
-
-    def job(item):
-        x, y, k = item
-        if isinstance(spectra[k], Exception):
-            exc = spectra[k]
-            return SweepRecord(
-                x=float(x), y=float(y), realization=k, regime="error",
-                c_max=math.nan, delta_rc=math.nan, diverged=False,
-                seed=config.base_seed + k, error=f"{type(exc).__name__}: {exc}",
-            )
-        return _run_cell(config, x, y, k, nets[k], spectra[k], pair)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(job, work))
-    else:
-        records = [job(item) for item in work]
-    return records
 
 
 def boundary_curve(
@@ -259,15 +199,11 @@ def boundary_curve(
                 "from the stable side",
                 stacklevel=2,
             )
-        y_lo, y_hi = float(ys[chosen]), float(ys[chosen + 1])
-        f_lo = vals[chosen]
-        while (y_hi - y_lo) > 1e-6:
-            mid = 0.5 * (y_lo + y_hi)
-            fm = crit(float(x), mid)
-            if (fm <= 0.0) == (f_lo <= 0.0):
-                y_lo, f_lo = mid, fm
-            else:
-                y_hi = mid
+        lo_stable = vals[chosen] <= 0.0
+        y_lo, y_hi = stability.bisect_flip(
+            lambda y: (crit(float(x), y) <= 0.0) == lo_stable,
+            float(ys[chosen]), float(ys[chosen + 1]), abs_tol=1e-6,
+        )
         points.append((float(x), 0.5 * (y_lo + y_hi)))
     return points
 
@@ -349,8 +285,8 @@ def basin_map(
 ) -> BasinMap:
     """Convergence map of the unforced two-node system on a rectangle.
 
-    A grid point converges when the trajectory's norm at t_final is below
-    1e-4; divergence simply marks the point as non-converged.
+    A grid point is marked by `stability.converged`; divergence simply marks
+    it as non-converged.
     """
     if network.m != 2:
         raise ConfigError("basin maps are a two-node visual verification tool")
@@ -359,9 +295,7 @@ def basin_map(
     r2 = np.linspace(r2_lo, r2_hi, resolution)
     g1, g2 = np.meshgrid(r1, r2, indexing="ij")
     initials = np.column_stack([g1.ravel(), g2.ravel()])
-    finals = stability.simulate_unforced(network, f, initials, t_final, dt)
-    norms = np.linalg.norm(finals, axis=1)
-    converged = np.where(np.isfinite(norms), norms < 1e-4, False)
+    converged = stability.converged(network, f, initials, t_final, dt)
     return BasinMap(r1, r2, converged.reshape(resolution, resolution))
 
 

@@ -117,11 +117,7 @@ def test_criterion_6_training_exactness():
     k_true = rng.normal(size=9)
     representable = rc.fit_readout(omega, omega @ k_true).delta_rc
     g = rc.normalize(rng.normal(size=500))
-    zero_readout = rc.training_error(
-        rc.TrainingResult(omega=np.zeros((500, 2)), k=np.zeros(2),
-                          delta_rc=0.0, fit=np.zeros(500)),
-        g,
-    )
+    zero_readout = rc.fit_readout(np.zeros((500, 2)), g).delta_rc
     spread_anchor = rc.spread([1.0, 2.0, 3.0])
     ok = (
         representable <= 1e-8
@@ -150,7 +146,7 @@ def error_map_records():
         task=SignalSpec(dt=0.02, transient_steps=5000),
         runtime=RuntimeParams(transient=2000, n_keep=10000, dt=0.02),
     )
-    records = run_sweep(config, threads=2)
+    records = run_sweep(config)
     return records, time.perf_counter() - start
 
 
@@ -409,12 +405,9 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     outputs = []
-    for tag, threads in (("a", "1"), ("b", "2")):
+    for tag in ("a", "b"):
         out = tmp_path / tag
-        code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out),
-             "--threads", threads]
-        )
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
         assert code == 0
         outputs.append(out)
     same = all(

@@ -12,7 +12,6 @@ from rcstab.dynamics import (
     Sigmoid,
     from_config,
     ratio_candidates,
-    stationarity_roots,
     with_param,
 )
 
@@ -76,7 +75,7 @@ class TestDerivative:
 
 class TestStationarityRoots:
     def test_cubic_interior_root(self):
-        roots = stationarity_roots(CUBIC, 3.0)
+        roots = CUBIC.interior_stationary_points(3.0)
         assert len(roots) == 1
         # closed form -p2/(2 p3)
         assert abs(roots[0] - 2.0) <= 1e-10
@@ -85,13 +84,13 @@ class TestStationarityRoots:
         assert abs(resid) <= 1e-9 * max(1.0, abs(float(CUBIC.raw(r))))
 
     def test_cubic_root_outside_small_interval(self):
-        assert stationarity_roots(CUBIC, 1.0) == []
+        assert CUBIC.interior_stationary_points(1.0) == []
 
     def test_linear_degenerate(self):
-        assert stationarity_roots(Polynomial((-3.0,)), 5.0) == []
+        assert Polynomial((-3.0,)).interior_stationary_points(5.0) == []
 
     def test_tanh_has_none(self):
-        assert stationarity_roots(ScaledTanh(-2.0, 0.5), 4.0) == []
+        assert ScaledTanh(-2.0, 0.5).interior_stationary_points(4.0) == []
 
     def test_tanh_none_by_brute_force(self):
         # independent oracle: scan the stationarity function on a dense grid,
@@ -104,9 +103,13 @@ class TestStationarityRoots:
 
     def test_quintic_roots_verified(self):
         f = Polynomial((-1.0, 2.0, 0.5, -0.3, -0.2))
-        for r in stationarity_roots(f, 10.0):
+        for r in f.interior_stationary_points(10.0):
             resid = r * f.derivative(r) - float(f.raw(r))
             assert abs(resid) <= 1e-9 * max(1.0, abs(float(f.raw(r))))
+
+    def test_flat_sigmoid_has_none(self):
+        # p1 = 0 makes r*f'(r) - f(r) vanish identically: no grid point is a root
+        assert Sigmoid(0.0, 0.5).interior_stationary_points(10.0) == []
 
 
 class TestRatioCandidates:

@@ -157,6 +157,13 @@ class TestCmaxDiscrete:
         assert km >= spec.rho_minus - 1e-8
         assert kp <= spec.rho_plus + 1e-8
 
+    def test_flat_sigmoid_global(self, ensemble_network):
+        # p1 = 0 makes f vanish identically, so f(r)/r = 0 at every radius
+        spec = rc.critical_shifts(ensemble_network.a)
+        report = rc.cmax_discrete(rc.Sigmoid(0.0, 0.5), spec)
+        assert report.regime is Regime.GLOBALLY_STABLE
+        assert report.kstar_at_cmax == 0.0
+
     def test_requires_shifted_for_sigmoid(self):
         with pytest.raises(ValueError):
             rc.cmax_discrete(rc.Sigmoid(1.0, 1.0), _spectral_with_rho(0.5))
@@ -228,7 +235,7 @@ class TestNonHomogeneous:
     def test_small_radius_collapses_to_slopes(self, ensemble_network):
         f = rc.Sigmoid(2.0, 0.5)
         shifted = rc.fixed_point(ensemble_network, f)
-        km, kp = rc.kstar_nonhomogeneous(shifted, 1e-8)
+        km, kp = shifted.kpair(1e-8)
         assert abs(km - shifted.deriv0.min()) <= 1e-6
         assert abs(kp - shifted.deriv0.max()) <= 1e-6
 

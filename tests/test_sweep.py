@@ -47,14 +47,20 @@ class TestRunSweep:
         assert combos == [(-2.0, -2.0), (-2.0, -1.0), (2.0, -2.0), (2.0, -1.0)]
         assert all(np.isfinite(r.delta_rc) for r in records)
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg = small_config(n_realizations=2)
-        seq = run_sweep(cfg, threads=1)
-        par = run_sweep(cfg, threads=2)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(seq, p1)
-        write_sweep_csv(par, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_continuous_sigmoid_cells_are_errors(self):
+        # a continuous cell is analysed like `analyze`, which rejects f(0) != 0
+        cfg = small_config(
+            template=rc.Sigmoid(4.0, 2.0), axis_x="p1", axis_y="p2",
+            grid=GridSpec(3.0, 4.0, 2, 1.0, 2.0, 2),
+        )
+        records = run_sweep(cfg)
+        assert len(records) == 4
+        for rec in records:
+            assert rec.regime == "error"
+            assert rec.error == (
+                "ValueError: continuous-time analysis requires f(0) = 0 "
+                "(polynomial/tanh kinds)"
+            )
 
     def test_repeat_is_deterministic(self):
         cfg = small_config()
