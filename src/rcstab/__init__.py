@@ -25,6 +25,7 @@ from .reservoir import (
     RuntimeParams,
     TrainingResult,
     build_omega,
+    drive_cells,
     drive_continuous,
     drive_discrete,
     fit_readout,

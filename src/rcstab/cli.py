@@ -189,6 +189,8 @@ def cmd_analyze(cfg: dict, out_dir: Path, args) -> int:
         f = _build_dynamics(cfg)
         net = _build_network(cfg, args.seed)
         kind = _time_kind(cfg)
+        if kind == "continuous" and not f.origin_fixed():
+            raise ConfigError("continuous-time analysis requires dynamics with f(0) = 0")
     report = stability.analyze(net, f, kind)
     payload = _report_payload(report)
     if kind == "continuous":
@@ -220,15 +222,15 @@ def cmd_train(cfg: dict, out_dir: Path, args) -> int:
             f"continuous drive step {rt.dt} must equal signal dt {spec.dt}"
         )
     pair = spec.build(rt.transient + rt.n_keep)
-    drive, fitted = reservoir.train(net, f, pair, kind, rt)
+    step, fitted = reservoir.train(net, f, pair, kind, rt)
     payload = {
-        "diverged": drive.diverged,
+        "diverged": fitted is None,
         "seed": args.seed if args.seed is not None else net.seed,
         "parameters": f.to_config(),
     }
-    if drive.diverged:
-        payload.update(delta_rc=None, k=None, divergence_step=drive.divergence_step)
-        print(f"status=diverged at step {drive.divergence_step}")
+    if fitted is None:
+        payload.update(delta_rc=None, k=None, divergence_step=step)
+        print(f"status=diverged at step {step}")
     else:
         payload.update(delta_rc=fitted.delta_rc, k=fitted.k)
         print(f"delta_rc={fitted.delta_rc:.6f}")
@@ -300,6 +302,8 @@ def cmd_basin(cfg: dict, out_dir: Path, args) -> int:
             t_final=float(basin_cfg.get("t_final", 50.0)),
             dt=float(basin_cfg.get("dt", 0.02)),
         )
+        if options["resolution"] < 1:
+            raise ConfigError(f"basin.resolution must be at least 1, got {options['resolution']}")
     basin = sweep.basin_map(net, f, **options)
     sweep.write_basin_csv(basin, out_dir / "basin.csv")
     frac = float(basin.converged.mean())

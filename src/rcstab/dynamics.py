@@ -30,9 +30,23 @@ _ROOT_TOL = 1e-12
 class NodalDynamics:
     """Base interface for scalar node functions f(r)."""
 
-    def raw(self, r):
-        """Evaluate f elementwise with no finiteness checks."""
+    def params(self) -> tuple:
+        """The numbers `evaluate` reads, in its order."""
         raise NotImplementedError
+
+    def evaluate(self, params, r, out):
+        """Write f(r) into out, with this kind's parameters taken from params.
+
+        Each parameter may be a float or an array shaped like r that gives
+        every element its own value; an element sees the same operations, in
+        the same order, either way.  out must not be r.
+        """
+        raise NotImplementedError
+
+    def raw(self, r, out=None):
+        """Evaluate f elementwise with no finiteness checks, into out if given."""
+        r = np.asarray(r, dtype=float)
+        return self.evaluate(self.params(), r, np.empty_like(r) if out is None else out)
 
     def derivative(self, r):
         """Evaluate f' elementwise (analytic form)."""
@@ -83,12 +97,16 @@ class Polynomial(NodalDynamics):
             raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
-    def raw(self, r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros_like(r)
-        for p in reversed(self.coeffs):
-            acc = acc * r + p
-        return acc * r
+    def params(self):
+        return self.coeffs
+
+    def evaluate(self, params, r, out):
+        out.fill(0.0)
+        for p in reversed(params):
+            out *= r
+            out += p
+        out *= r
+        return out
 
     def derivative(self, r):
         r = np.asarray(r, dtype=float)
@@ -180,8 +198,15 @@ class ScaledTanh(NodalDynamics):
         if not (self.p2 > 0):
             raise ValueError("scaled tanh requires p2 > 0")
 
-    def raw(self, r):
-        return self.p1 * np.tanh(self.p2 * np.asarray(r, dtype=float))
+    def params(self):
+        return (self.p1, self.p2)
+
+    def evaluate(self, params, r, out):
+        p1, p2 = params
+        np.multiply(r, p2, out=out)
+        np.tanh(out, out=out)
+        out *= p1
+        return out
 
     def derivative(self, r):
         t = np.tanh(self.p2 * np.asarray(r, dtype=float))
@@ -213,10 +238,17 @@ class Sigmoid(NodalDynamics):
     p1: float
     p2: float
 
-    def raw(self, r):
-        x = self.p2 * np.asarray(r, dtype=float)
+    def params(self):
+        return (self.p1, self.p2)
+
+    def evaluate(self, params, r, out):
+        p1, p2 = params
+        np.multiply(r, p2, out=out)
+        np.negative(out, out=out)
         with np.errstate(over="ignore"):
-            return self.p1 / (1.0 + np.exp(-x))
+            np.exp(out, out=out)
+        out += 1.0
+        return np.divide(p1, out, out=out)
 
     def derivative(self, r):
         x = self.p2 * np.asarray(r, dtype=float)
@@ -245,8 +277,14 @@ class ShiftedNode(NodalDynamics):
     shift: float
     offset: float
 
-    def raw(self, r):
-        return self.base.raw(np.asarray(r, dtype=float) + self.shift) + self.offset
+    def params(self):
+        return (self.shift, self.offset, *self.base.params())
+
+    def evaluate(self, params, r, out):
+        shift, offset, *base = params
+        self.base.evaluate(base, r + shift, out)
+        out += offset
+        return out
 
     def derivative(self, r):
         return self.base.derivative(np.asarray(r, dtype=float) + self.shift)

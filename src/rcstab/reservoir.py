@@ -5,6 +5,12 @@ network with a normalized input sequence, drop a transient, stack the
 recorded node states (plus a ones column) into the regression matrix, and
 fit the readout by minimum-norm least squares.  The training error is the
 spread of the residual divided by the spread of the target.
+
+One kernel, `drive_cells`, drives every run: it steps several cells of one
+network as the rows of one state, in place, and writes each cell's
+post-transient rows straight into its regression matrix.  `drive_continuous`,
+`drive_discrete` and `train` are its one-cell uses; `sweep.run_sweep` feeds it
+a realization's cells two at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .signals import SignalPair, rk4_steps
 
 #: infinity-norm level at which a run is declared divergent
 DIVERGENCE_THRESHOLD = 1e6
+#: steps between the divergence checks of `drive_cells`
+DRIVE_BLOCK = 64
 #: relative singular-value cutoff defining the pseudo-inverse rank
 SVD_CUTOFF = 1e-12
 
@@ -53,9 +61,140 @@ class TrainingResult:
     fit: np.ndarray
 
 
-def _check_state(r: np.ndarray) -> bool:
-    """True while the state is finite and inside the divergence threshold."""
-    return bool(np.all(np.isfinite(r)) and np.max(np.abs(r)) <= DIVERGENCE_THRESHOLD)
+def omega_buffer(m: int, n_keep: int) -> np.ndarray:
+    """An n_keep x (m + 1) regression matrix for `drive_cells` to fill, its
+    last column already ones."""
+    omega = np.empty((n_keep, m + 1))
+    omega[:, m] = 1.0
+    return omega
+
+
+def readout_target(pair: SignalPair, runtime: RuntimeParams) -> np.ndarray:
+    """The target over the post-transient window that the Omega rows cover."""
+    needed = runtime.transient + runtime.n_keep
+    if pair.length < needed:
+        raise TruncatedRunError(
+            f"need {needed} usable steps but the run has only {pair.length}"
+        )
+    return pair.target[runtime.transient : needed]
+
+
+def _map_steps(step, y):
+    """Iterate y <- step(y) in place, yielding y after each step."""
+    image = np.empty_like(y)
+    while True:
+        step(None, y, image)
+        y[...] = image
+        yield y
+
+
+def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
+    """Drive several cells of one network at once, one slot per sink.
+
+    cells yields (key, f) pairs whose f share one kind and one parameter
+    count.  It is drawn from when a slot is free, so the work that makes a
+    cell runs as the cell enters its slot.  Slot j holds its cell as row j
+    of a (slots, m) state that starts at `initial` (zeros by default) and
+    steps once per input sample: by `rk4_steps` with step dt for
+    r' = f(r) + A r + w s (continuous time, the input held over each step),
+    or by the map r <- f(r) + A r + w s (discrete time).  Each row sees the
+    same operations, in the same order, as a cell driven alone.
+
+    Row n of a cell's states, the state after input n, is written to row
+    n - first of its slot's sink, in the first m columns, for n in
+    [first, first + len(sink)).  Every DRIVE_BLOCK steps each step of the
+    block is checked; the first non-finite state, or state beyond
+    DIVERGENCE_THRESHOLD, is the cell's divergence step and no row from it
+    on is written.  A slot whose cell diverged or used up s takes the next
+    cell at the end of the block.
+
+    Yields (key, sink, divergence_step) as each cell ends, with
+    divergence_step None when the cell did not diverge.  The sink is written
+    again once the generator resumes.
+    """
+    if time_kind not in ("continuous", "discrete"):
+        raise ValueError(f"time_kind must be continuous or discrete: {time_kind!r}")
+    if time_kind == "continuous" and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    s = np.asarray(s, dtype=float)
+    a, w, m = network.a, network.w, network.m
+    start = np.zeros(m) if initial is None else np.array(initial, dtype=float)
+    n_slots, total = len(sinks), s.shape[0]
+    y = np.zeros((n_slots, m))
+    coupled = np.zeros_like(y)
+    drive = np.zeros_like(y)
+    block = np.empty((DRIVE_BLOCK, n_slots, m))
+    drives = np.zeros_like(block)
+    cells = iter(cells)
+    keys, pos, live = [None] * n_slots, [0] * n_slots, []
+    nodal, params = None, None
+
+    def field(_t, r, out):
+        nodal.evaluate(params, r, out)
+        for j in live:
+            np.dot(a, r[j], out=coupled[j])
+        out += coupled
+        out += drive
+
+    def refill():
+        nonlocal nodal, params
+        for j in range(n_slots):
+            if j in live:
+                continue
+            cell = next(cells, None)
+            if cell is None:
+                return
+            keys[j], f = cell
+            if nodal is None:
+                nodal, params = f, np.zeros((len(f.params()), n_slots, m))
+            # whole rows, not (slots, 1) columns: numpy broadcasts a column
+            # at twice the cost of an operand of the state's own shape
+            params[:, j] = np.array(f.params())[:, None]
+            y[j] = start
+            pos[j] = 0
+            live.append(j)
+
+    if time_kind == "continuous":
+        stepper = rk4_steps(field, y, dt)
+    else:
+        stepper = _map_steps(field, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refill()
+        while live:
+            steps = min(DRIVE_BLOCK, *(total - pos[j] for j in live))
+            for j in live:
+                np.multiply(s[pos[j] : pos[j] + steps, None], w, out=drives[:steps, j])
+            for i in range(steps):
+                np.copyto(drive, drives[i])
+                next(stepper)
+                block[i] = y
+            bounded = (np.abs(block[:steps]) <= DIVERGENCE_THRESHOLD).all(axis=2)
+            for j in list(live):
+                bad = np.flatnonzero(~bounded[:, j])
+                p = pos[j]
+                good = int(bad[0]) if bad.size else steps
+                lo, hi = max(p, first), min(p + good, first + len(sinks[j]))
+                if lo < hi:
+                    sinks[j][lo - first : hi - first, :m] = block[lo - p : hi - p, j]
+                pos[j] = p + steps
+                if bad.size or pos[j] == total:
+                    live.remove(j)
+                    # an idle row stays at rest until the next cell enters
+                    y[j] = coupled[j] = drives[:, j] = 0.0
+                    yield keys[j], sinks[j], (p + good if bad.size else None)
+            refill()
+
+
+def _drive_one(network, f, s, time_kind, dt, initial) -> DriveResult:
+    """One cell through `drive_cells`, into states of its own."""
+    s = np.asarray(s, dtype=float)
+    states = np.empty((s.shape[0], network.m))
+    ((_, _, step),) = drive_cells(
+        network, [(None, f)], s, time_kind, dt, [states], initial=initial
+    )
+    if step is None:
+        return DriveResult(states)
+    return DriveResult(states[:step].copy(), diverged=True, divergence_step=step)
 
 
 def drive_discrete(
@@ -65,17 +204,7 @@ def drive_discrete(
     initial=None,
 ) -> DriveResult:
     """Iterate r(n+1) = f(r(n)) + A r(n) + w s(n)."""
-    s = np.asarray(s, dtype=float)
-    a, w = network.a, network.w
-    r = np.zeros(network.m) if initial is None else np.array(initial, dtype=float)
-    states = np.empty((s.shape[0], network.m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(s.shape[0]):
-            r = f.raw(r) + a @ r + w * s[n]
-            if not _check_state(r):
-                return DriveResult(states[:n].copy(), diverged=True, divergence_step=n)
-            states[n] = r
-    return DriveResult(states)
+    return _drive_one(network, f, s, "discrete", None, initial)
 
 
 def drive_continuous(
@@ -90,25 +219,7 @@ def drive_continuous(
     The input is held constant over each sampling interval (zero-order
     hold), so dt must equal the signal's sampling interval.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    s = np.asarray(s, dtype=float)
-    a, w = network.a, network.w
-    r = np.zeros(network.m) if initial is None else np.array(initial, dtype=float)
-    states = np.empty((s.shape[0], network.m))
-
-    def rhs(_t, y):
-        return f.raw(y) + a @ y + drive
-
-    stepper = rk4_steps(rhs, r, dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(s.shape[0]):
-            drive = w * s[n]  # held by rhs over the whole step
-            r = next(stepper)
-            if not _check_state(r):
-                return DriveResult(states[:n].copy(), diverged=True, divergence_step=n)
-            states[n] = r
-    return DriveResult(states)
+    return _drive_one(network, f, s, "continuous", dt, initial)
 
 
 def build_omega(
@@ -157,21 +268,17 @@ def train(
     pair: SignalPair,
     time_kind: str,
     runtime: RuntimeParams,
-) -> tuple[DriveResult, TrainingResult | None]:
+) -> tuple[int | None, TrainingResult | None]:
     """Drive the reservoir with pair.input and fit the readout to pair.target
     over the post-transient window.
 
-    Returns the drive and the fitted readout, or None in place of the readout
-    when the drive diverged.
+    Returns the divergence step and None when the drive diverged, else None
+    and the fitted readout, whose omega belongs to the caller.
     """
-    if time_kind == "continuous":
-        drive = drive_continuous(network, f, pair.input, runtime.dt)
-    elif time_kind == "discrete":
-        drive = drive_discrete(network, f, pair.input)
-    else:
-        raise ValueError(f"time_kind must be continuous or discrete: {time_kind!r}")
-    if drive.diverged:
-        return drive, None
-    omega = build_omega(drive, runtime.transient, runtime.n_keep)
-    g = pair.target[runtime.transient : runtime.transient + runtime.n_keep]
-    return drive, fit_readout(omega, g)
+    omega = omega_buffer(network.m, runtime.n_keep)
+    ((_, _, step),) = drive_cells(
+        network, [(None, f)], pair.input, time_kind, runtime.dt, [omega], runtime.transient
+    )
+    if step is not None:
+        return step, None
+    return None, fit_readout(omega, readout_target(pair, runtime))

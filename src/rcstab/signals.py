@@ -89,21 +89,39 @@ class SignalPair:
 
 
 def rk4_steps(deriv, y, dt):
-    """Yield the successive classical Runge-Kutta states of y' = deriv(t, y)
-    from y at t = 0, one per step of dt.
+    """Advance y in place by classical Runge-Kutta steps of y' = deriv(t, y),
+    from t = 0, yielding y after each step of dt.
 
-    The signals and both reservoir integrators advance through this one
-    body.  It is a generator so that a step's four slopes stay alive until
-    the next step replaces them: freeing them together after every step
-    doubled the page faults of a 40,000-row unforced batch.
+    deriv(t, y, out) writes the slope into out.  y may be one state or a
+    (rows, n) batch of states, each row its own system.  This is the one RK4
+    body of the package: the signals, the driven reservoir and the unforced
+    reservoir all step through it.  Its four slopes and the stage state are
+    allocated once, so a step allocates nothing, and every element sees the
+    operations of y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) with stage inputs
+    y + (dt/2)*k in this order, whatever the batch around it.
     """
+    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
+    # 0-d arrays, because numpy converts a Python float operand on every call
+    half, full, sixth, two = (np.array(c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
     t = 0.0
     while True:
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = deriv(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        deriv(t, y, k1)
+        np.multiply(k1, half, out=stage)
+        stage += y
+        deriv(t + 0.5 * dt, stage, k2)
+        np.multiply(k2, half, out=stage)
+        stage += y
+        deriv(t + 0.5 * dt, stage, k3)
+        np.multiply(k3, full, out=stage)
+        stage += y
+        deriv(t + dt, stage, k4)
+        k2 *= two
+        k2 += k1
+        k3 *= two
+        k2 += k3
+        k2 += k4
+        k2 *= sixth
+        y += k2
         t += dt
         yield y
 
@@ -121,7 +139,7 @@ def _rk4(deriv, initial, dt, n_steps, transient_steps):
         for k in range(total):
             if k >= transient_steps:
                 out[k - transient_steps] = y
-            y = next(stepper)
+            next(stepper)
             t += dt
             if not np.all(np.isfinite(y)):
                 raise IntegrationDivergedError(
@@ -145,9 +163,9 @@ def integrate_lorenz(
     if n_steps <= 0:
         raise ValueError(f"n_steps must be positive, got {n_steps}")
 
-    def deriv(t, s):
+    def deriv(t, s, out):
         x, y, z = s
-        return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+        out[:] = (sigma * (y - x), x * (rho - z) - y, x * y - beta * z)
 
     samples = _rk4(deriv, initial, dt, n_steps, transient_steps)
     return Trajectory(samples, dt, ("x", "y", "z"))
@@ -174,11 +192,9 @@ def integrate_duffing(
     if n_steps <= 0:
         raise ValueError(f"n_steps must be positive, got {n_steps}")
 
-    def deriv(t, s):
+    def deriv(t, s, out):
         x, v = s
-        return np.array(
-            [v, gamma * np.cos(omega * t) - delta * v - alpha * x - beta * x**3]
-        )
+        out[:] = (v, gamma * np.cos(omega * t) - delta * v - alpha * x - beta * x**3)
 
     samples = _rk4(deriv, initial, dt, n_steps, transient_steps)
     return Trajectory(samples, dt, ("x", "y"))

