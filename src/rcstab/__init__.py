@@ -25,7 +25,6 @@ from .reservoir import (
     RuntimeParams,
     TrainingResult,
     build_omega,
-    drive_cells,
     drive_continuous,
     drive_discrete,
     fit_readout,

@@ -222,7 +222,9 @@ def cmd_train(cfg: dict, out_dir: Path, args) -> int:
             f"continuous drive step {rt.dt} must equal signal dt {spec.dt}"
         )
     pair = spec.build(rt.transient + rt.n_keep)
-    step, fitted = reservoir.train(net, f, pair, kind, rt)
+    ((_, step, fitted),) = reservoir.train(net, [(None, f)], pair, kind, rt)
+    if isinstance(fitted, Exception):
+        raise fitted
     payload = {
         "diverged": fitted is None,
         "seed": args.seed if args.seed is not None else net.seed,

@@ -8,9 +8,10 @@ spread of the residual divided by the spread of the target.
 
 One kernel, `drive_cells`, drives every run: it steps several cells of one
 network as the rows of one state, in place, and writes each cell's
-post-transient rows straight into its regression matrix.  `drive_continuous`,
-`drive_discrete` and `train` are its one-cell uses; `sweep.run_sweep` feeds it
-a realization's cells two at a time.
+post-transient rows straight into its regression matrix.  `drive_continuous`
+and `drive_discrete` are its one-cell uses.  `train` drives cells through it
+and fits each readout: the train command passes one cell, and
+`sweep.run_sweep` a realization's cells two at a time.
 """
 
 from __future__ import annotations
@@ -67,16 +68,6 @@ def omega_buffer(m: int, n_keep: int) -> np.ndarray:
     omega = np.empty((n_keep, m + 1))
     omega[:, m] = 1.0
     return omega
-
-
-def readout_target(pair: SignalPair, runtime: RuntimeParams) -> np.ndarray:
-    """The target over the post-transient window that the Omega rows cover."""
-    needed = runtime.transient + runtime.n_keep
-    if pair.length < needed:
-        raise TruncatedRunError(
-            f"need {needed} usable steps but the run has only {pair.length}"
-        )
-    return pair.target[runtime.transient : needed]
 
 
 def _map_steps(step, y):
@@ -158,31 +149,36 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
         stepper = rk4_steps(field, y, dt)
     else:
         stepper = _map_steps(field, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        refill()
-        while live:
-            steps = min(DRIVE_BLOCK, *(total - pos[j] for j in live))
-            for j in live:
-                np.multiply(s[pos[j] : pos[j] + steps, None], w, out=drives[:steps, j])
+    refill()
+    while live:
+        steps = min(DRIVE_BLOCK, *(total - pos[j] for j in live))
+        for j in live:
+            np.multiply(s[pos[j] : pos[j] + steps, None], w, out=drives[:steps, j])
+        # a diverging row overflows by design; the error state covers the
+        # stepping only, not the cells drawn by refill or the caller's work
+        # between yields
+        with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
                 np.copyto(drive, drives[i])
                 next(stepper)
                 block[i] = y
             bounded = (np.abs(block[:steps]) <= DIVERGENCE_THRESHOLD).all(axis=2)
-            for j in list(live):
-                bad = np.flatnonzero(~bounded[:, j])
-                p = pos[j]
-                good = int(bad[0]) if bad.size else steps
-                lo, hi = max(p, first), min(p + good, first + len(sinks[j]))
-                if lo < hi:
-                    sinks[j][lo - first : hi - first, :m] = block[lo - p : hi - p, j]
-                pos[j] = p + steps
-                if bad.size or pos[j] == total:
-                    live.remove(j)
-                    # an idle row stays at rest until the next cell enters
-                    y[j] = coupled[j] = drives[:, j] = 0.0
-                    yield keys[j], sinks[j], (p + good if bad.size else None)
-            refill()
+        for j in list(live):
+            bad = np.flatnonzero(~bounded[:, j])
+            p = pos[j]
+            good = int(bad[0]) if bad.size else steps
+            lo, hi = max(p, first), min(p + good, first + len(sinks[j]))
+            if lo < hi:
+                sinks[j][lo - first : hi - first, :m] = block[lo - p : hi - p, j]
+            pos[j] = p + steps
+            if bad.size or pos[j] == total:
+                live.remove(j)
+                # an idle row is still stepped, with its last cell's
+                # parameters, and ignored until refill sets its next start;
+                # zeroing keeps a diverged cell's inf and nan out of it
+                y[j] = coupled[j] = drives[:, j] = 0.0
+                yield keys[j], sinks[j], (p + good if bad.size else None)
+        refill()
 
 
 def _drive_one(network, f, s, time_kind, dt, initial) -> DriveResult:
@@ -264,21 +260,40 @@ def fit_readout(omega, g) -> TrainingResult:
 
 def train(
     network: ReservoirNetwork,
-    f: NodalDynamics,
+    cells,
     pair: SignalPair,
     time_kind: str,
     runtime: RuntimeParams,
-) -> tuple[int | None, TrainingResult | None]:
-    """Drive the reservoir with pair.input and fit the readout to pair.target
+    omegas=None,
+):
+    """Drive each cell with pair.input and fit its readout to pair.target
     over the post-transient window.
 
-    Returns the divergence step and None when the drive diverged, else None
-    and the fitted readout, whose omega belongs to the caller.
+    cells yields (key, f) pairs, which `drive_cells` drives one per Omega in
+    omegas; by default a single fresh one, whose fitted omega then belongs
+    to the caller.  A cell's Omega is written again by the next cell to
+    take its slot.  Yields (key, step, fitted) as each cell ends: the
+    divergence step and None when the drive diverged, else None and the
+    fitted readout, or the error that `fit_readout` raised, so that one
+    cell's failure does not end the others.
     """
-    omega = omega_buffer(network.m, runtime.n_keep)
-    ((_, _, step),) = drive_cells(
-        network, [(None, f)], pair.input, time_kind, runtime.dt, [omega], runtime.transient
+    if omegas is None:
+        omegas = [omega_buffer(network.m, runtime.n_keep)]
+    needed = runtime.transient + runtime.n_keep
+    if pair.length < needed:
+        raise TruncatedRunError(
+            f"need {needed} usable steps but the run has only {pair.length}"
+        )
+    g = pair.target[runtime.transient : needed]
+    driven = drive_cells(
+        network, cells, pair.input, time_kind, runtime.dt, omegas, runtime.transient
     )
-    if step is not None:
-        return step, None
-    return None, fit_readout(omega, readout_target(pair, runtime))
+    for key, omega, step in driven:
+        if step is not None:
+            yield key, step, None
+            continue
+        try:
+            fitted = fit_readout(omega, g)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            fitted = exc
+        yield key, None, fitted

@@ -1,13 +1,12 @@
 """Parameter-grid experiments: stability maps, training-error maps, boundary
 curves, box-plot statistics, and two-node basin maps.
 
-The cells of one realization are driven SLOTS at a time, as rows of one
-state (`reservoir.drive_cells`), and taken in canonical order (x-major, then
-y); realizations follow one another.  Each cell goes through the same
-stability analysis (`stability.analyze`), drive kernel and readout fit
-(`reservoir.fit_readout`) as `reservoir.train` gives the single-run commands,
-and the records come back in canonical order (x-major, then y, then
-realization).
+The cells of one realization are trained SLOTS at a time, as rows of one
+state, by `reservoir.train`, the pipeline the train command uses for its one
+cell; they are taken in canonical order (x-major, then y), and realizations
+follow one another.  Each cell is analyzed (`stability.analyze`) as it
+enters a slot, and the records come back in canonical order (x-major, then
+y, then realization).
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ from .signals import SignalSpec
 SWEEP_CSV_HEADER = "x,y,realization,regime,c_max,delta_rc,diverged,seed"
 #: cells of one realization driven together.  Each slot keeps an Omega of
 #: n_keep x (m + 1) floats alive: the benchmark's cubic map (m = 100,
-#: 12,000 samples) peaked at 61.4 MB with two slots, 69.1 MB with three and
-#: 62.6 MB with one cell at a time.
+#: 12,000 samples) peaked at 53.4 MB with one slot, 61.1 MB with two and
+#: 69.1 MB with three, against 62.6 MB for the earlier one-cell drive, and
+#: its round took 4.56 s with two slots against 5.84 s with one (2 cores).
 SLOTS = 2
 #: failures that stay local to their cell, recorded with regime "error"
 _CELL_ERRORS = (RcstabError, ValueError, OverflowError, np.linalg.LinAlgError)
@@ -108,11 +108,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     One network per realization (seed = base_seed + realization) is reused
     across all grid cells, and a single signal pair drives every run.  The
-    cells of a realization are driven SLOTS at a time by
-    `reservoir.drive_cells`; a cell is made and analyzed as it enters a free
-    slot, and its readout is fitted as soon as its drive ends.  Per-cell
-    failures, a realization whose spectrum fails included, are recorded in
-    the cell with regime "error".  Records come back in canonical order.
+    cells of a realization are trained SLOTS at a time by `reservoir.train`;
+    a cell is made and analyzed as it enters a free slot, and its readout is
+    fitted as soon as its drive ends.  Per-cell failures, a realization
+    whose spectrum fails included, are recorded in the cell with regime
+    "error".  Records come back in canonical order.
     """
     rt = config.runtime
     pair = config.task.build(rt.transient + rt.n_keep)
@@ -125,7 +125,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         )
         for k in range(config.n_realizations)
     ]
-    g = reservoir.readout_target(pair, rt)
     # each slot's Omega is overwritten by its next cell, once delta_rc is read
     omegas = [reservoir.omega_buffer(config.m, rt.n_keep) for _ in range(SLOTS)]
     xs, ys = config.grid.x_values(), config.grid.y_values()
@@ -150,14 +149,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 yield (i, j, report), f
 
     for k, net in enumerate(nets):
-        driven = reservoir.drive_cells(
-            net, cells(k, net), pair.input, config.time_kind, rt.dt, omegas, rt.transient
-        )
-        for (i, j, report), omega, step in driven:
-            try:
-                fitted = None if step is not None else reservoir.fit_readout(omega, g)
-            except _CELL_ERRORS as exc:
-                failed(i, j, k, exc)
+        trained = reservoir.train(net, cells(k, net), pair, config.time_kind, rt, omegas)
+        for (i, j, report), step, fitted in trained:
+            if isinstance(fitted, Exception):
+                failed(i, j, k, fitted)
                 continue
             records[i, j, k] = SweepRecord(
                 x=float(xs[i]), y=float(ys[j]), realization=k,

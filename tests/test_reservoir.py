@@ -15,6 +15,7 @@ from rcstab.reservoir import (
     drive_discrete,
     fit_readout,
     spread,
+    train,
 )
 
 ZERO_F = rc.Polynomial((0.0,))
@@ -181,6 +182,65 @@ class TestDriveCells:
         result = drive_discrete(ensemble_network, f, s)
         assert step is None and not result.diverged
         assert np.array_equal(result.states, states)
+
+
+class TestTrain:
+    """One pipeline for the train command's one cell and a sweep's slots."""
+
+    RUNTIME = rc.RuntimeParams(transient=200, n_keep=1300, dt=0.02)
+    CELLS = [rc.Polynomial(c) for c in
+             [(-3.0, 1.0, -1.0), (-3.0, 0.0, 3.0), (-3.0, -2.0, -1.0), (-3.0, 0.5, -2.0)]]
+
+    def test_slots_match_one_cell_at_a_time(self, ensemble_network, lorenz_pair_short):
+        net, rt = ensemble_network, self.RUNTIME
+        omegas = [rc.reservoir.omega_buffer(net.m, rt.n_keep) for _ in range(2)]
+        batched = {}
+        for key, step, fitted in train(
+            net, enumerate(self.CELLS), lorenz_pair_short, "continuous", rt, omegas
+        ):
+            batched[key] = (step, None if fitted is None else (fitted.delta_rc, fitted.k.copy()))
+        assert sorted(batched) == list(range(len(self.CELLS)))
+        for key, f in enumerate(self.CELLS):
+            ((_, step, fitted),) = train(net, [(None, f)], lorenz_pair_short, "continuous", rt)
+            assert batched[key][0] == step
+            if step is None:
+                delta, k = batched[key][1]
+                assert fitted.delta_rc == delta and np.array_equal(fitted.k, k)
+                assert not any(np.shares_memory(fitted.omega, o) for o in omegas)
+            else:
+                assert fitted is None and batched[key][1] is None
+        assert batched[1][0] == 145
+
+    def test_fit_failure_stays_with_its_cell(self, ensemble_network, lorenz_pair_short):
+        # a target that is constant over the post-transient window
+        flat = np.concatenate([np.tile([1.0, -1.0], 100), np.zeros(1300)])
+        pair = rc.SignalPair(lorenz_pair_short.input, rc.normalize(flat))
+        ended = {
+            key: (step, fitted)
+            for key, step, fitted in train(
+                ensemble_network, enumerate(self.CELLS), pair, "continuous", self.RUNTIME
+            )
+        }
+        assert sorted(ended) == list(range(len(self.CELLS)))
+        assert ended[1] == (145, None)
+        for key in (0, 2, 3):
+            step, fitted = ended[key]
+            assert step is None and isinstance(fitted, DegenerateTargetError)
+
+    def test_error_state_left_to_the_caller(self, ensemble_network, lorenz_pair_short):
+        seen = []
+
+        def cells():
+            for key, f in enumerate(self.CELLS):
+                seen.append(np.geterr())
+                yield key, f
+
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in train(ensemble_network, cells(), lorenz_pair_short, "continuous",
+                           self.RUNTIME, [np.empty((1300, 101)) for _ in range(2)]):
+                seen.append(np.geterr())
+        assert len(seen) == 2 * len(self.CELLS)
+        assert all(e["over"] == "raise" and e["invalid"] == "raise" for e in seen)
 
 
 class TestBuildOmega:
