@@ -64,4 +64,60 @@ from .sweep import (
     run_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # dynamics
+    "NodalDynamics",
+    "Polynomial",
+    "RatioCandidates",
+    "ScaledTanh",
+    "ShiftedNode",
+    "Sigmoid",
+    "ratio_candidates",
+    "with_param",
+    # network
+    "ReservoirNetwork",
+    "SpectralSummary",
+    "alpha_max",
+    "construct_adjacency",
+    "critical_shifts",
+    "spectral_normalize",
+    # reservoir
+    "DriveResult",
+    "RuntimeParams",
+    "TrainingResult",
+    "build_omega",
+    "drive_continuous",
+    "drive_discrete",
+    "fit_readout",
+    "spread",
+    "train",
+    # signals
+    "SignalPair",
+    "SignalSpec",
+    "Trajectory",
+    "integrate_duffing",
+    "integrate_lorenz",
+    "make_signal_pair",
+    "normalize",
+    # stability
+    "Regime",
+    "ShiftedDynamics",
+    "StabilityReport",
+    "analyze",
+    "basin_verify",
+    "cmax_continuous",
+    "cmax_discrete",
+    "fixed_point",
+    "kstar_continuous",
+    "kstar_discrete",
+    "linear_stability",
+    # sweep
+    "BasinMap",
+    "GridSpec",
+    "SweepConfig",
+    "SweepRecord",
+    "basin_map",
+    "boundary_curve",
+    "realization_stats",
+    "run_sweep",
+]

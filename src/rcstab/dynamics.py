@@ -258,7 +258,7 @@ class Sigmoid(NodalDynamics):
         return out if out.ndim else float(out)
 
     def interior_stationary_points(self, c):
-        return _scan_stationary_points(self, c)
+        return _scan_stationary_points(self, [0.0], [0.0], [c])[0]
 
     def to_config(self):
         return {"kind": "sigmoid", "p1": self.p1, "p2": self.p2}
@@ -290,9 +290,7 @@ class ShiftedNode(NodalDynamics):
         return self.base.derivative(np.asarray(r, dtype=float) + self.shift)
 
     def interior_stationary_points(self, c):
-        if self.shift == 0.0 and self.offset == 0.0:
-            return self.base.interior_stationary_points(c)
-        return _scan_stationary_points(self, c)
+        return stationary_points([self], [c])[0]
 
     def scan_halfwidth(self) -> float:
         """Window beyond which the stationarity function cannot change sign."""
@@ -312,7 +310,7 @@ class ShiftedNode(NodalDynamics):
         # bounded base: endpoint chords decay to zero, so the limiting
         # extrema are attained among f'(0), interior stationary values and 0.
         vals = [0.0, float(self.derivative(0.0))]
-        for r in _scan_stationary_points(self, self.scan_halfwidth()):
+        for r in self.interior_stationary_points(self.scan_halfwidth()):
             vals.append(float(self.raw(r) / r))
         return (min(vals), max(vals))
 
@@ -325,57 +323,98 @@ class ShiftedNode(NodalDynamics):
         }
 
 
-def _scan_stationary_points(f: NodalDynamics, c: float) -> list[float]:
-    """Sign-change scan + bisection for roots of r*f'(r) - f(r) on [-c, c]\\{0}.
+def stationary_points(nodes, halfwidths) -> list[list[float]]:
+    """Each ShiftedNode's interior_stationary_points over its own half-width.
+
+    The nodes share one base.  Nodes that move nothing keep their base's own
+    roots; the scans of the others share one bisection.
+    """
+    roots = [
+        None if n.shift != 0.0 or n.offset != 0.0 else n.base.interior_stationary_points(c)
+        for n, c in zip(nodes, halfwidths)
+    ]
+    scanned = [k for k, rs in enumerate(roots) if rs is None]
+    if scanned:
+        found = _scan_stationary_points(
+            nodes[scanned[0]].base,
+            [nodes[k].shift for k in scanned],
+            [nodes[k].offset for k in scanned],
+            [halfwidths[k] for k in scanned],
+        )
+        for k, rs in zip(scanned, found):
+            roots[k] = rs
+    return roots
+
+
+def _scan_stationary_points(base: NodalDynamics, shifts, offsets, halfwidths) -> list[list[float]]:
+    """Sign-change scan + bisection for roots of r*fbar'(r) - fbar(r) on
+    [-c, c]\\{0}, with fbar(r) = base(r + shift) + offset, per (shift, offset, c).
 
     The origin is always a (at least) double root of the stationarity function
     for shifted kinds, so it produces no sign change and is excluded naturally.
+    The sign flips of every scan are bisected together as one array; each
+    element sees the operations and stopping rule of a scalar bisection.
     """
 
-    def g(r):
-        r = np.asarray(r, dtype=float)
-        return r * f.derivative(r) - f.raw(r)
+    def g(r, shift, offset):
+        x = r + shift
+        return r * base.derivative(x) - (base.raw(x) + offset)
 
-    grid = np.linspace(-c, c, _SCAN_POINTS + 1)
-    grid = grid[np.abs(grid) > 1e-14 * max(1.0, c)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(g(grid))
-    if not np.all(np.isfinite(vals)):
-        raise AnalysisError(
-            "stationarity scan produced non-finite values",
-            residual=float(np.nanmax(np.abs(vals))),
-        )
-    if not np.any(vals):
-        # r*f'(r) - f(r) vanishes identically (e.g. a sigmoid with p1 = 0): the
-        # ratio f(r)/r is constant and the endpoint chords already carry it
-        return []
-    roots: list[float] = []
-    sign = np.sign(vals)
-    exact = np.where(vals == 0.0)[0]
-    for i in exact:
-        r = float(grid[i])
-        if abs(r) > 1e-9:
-            roots.append(r)
-    flips = np.where(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        if lo <= 0.0 <= hi:
+    per_scan = []  # (grid roots, index of the first flip, flip count)
+    lo, hi, flo, shift_of, offset_of = [], [], [], [], []
+    for shift, offset, c in zip(shifts, offsets, halfwidths):
+        grid = np.linspace(-c, c, _SCAN_POINTS + 1)
+        grid = grid[np.abs(grid) > 1e-14 * max(1.0, c)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(g(grid, shift, offset))
+        if not np.all(np.isfinite(vals)):
+            raise AnalysisError(
+                "stationarity scan produced non-finite values",
+                residual=float(np.nanmax(np.abs(vals))),
+            )
+        if not np.any(vals):
+            # r*f'(r) - f(r) vanishes identically (e.g. a sigmoid with p1 = 0):
+            # the ratio f(r)/r is constant and the endpoint chords carry it
+            per_scan.append(([], len(lo), 0))
             continue
-        flo = float(vals[i])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = float(g(mid))
-            if fm == 0.0 or (hi - lo) <= _ROOT_TOL * max(1.0, abs(mid)):
-                lo = hi = mid
-                break
-            if (flo < 0) == (fm < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        r = 0.5 * (lo + hi)
-        if abs(r) > 1e-9 and not any(abs(r - y) <= 1e-9 * max(1.0, abs(r)) for y in roots):
-            roots.append(r)
-    return sorted(roots)
+        exact = [float(r) for r in grid[vals == 0.0] if abs(r) > 1e-9]
+        sign = np.sign(vals)
+        flips = np.where(sign[:-1] * sign[1:] < 0)[0]
+        flips = flips[(grid[flips] > 0.0) | (grid[flips + 1] < 0.0)]
+        per_scan.append((exact, len(lo), flips.size))
+        lo.extend(grid[flips])
+        hi.extend(grid[flips + 1])
+        flo.extend(vals[flips])
+        shift_of.extend([shift] * flips.size)
+        offset_of.extend([offset] * flips.size)
+
+    lo, hi, flo = np.array(lo), np.array(hi), np.array(flo)
+    shift_of, offset_of = np.array(shift_of), np.array(offset_of)
+    live = np.arange(lo.size)
+    for _ in range(200):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = g(mid, shift_of[live], offset_of[live])
+        done = (fm == 0.0) | (
+            (hi[live] - lo[live]) <= _ROOT_TOL * np.maximum(1.0, np.abs(mid))
+        )
+        lo[live[done]] = hi[live[done]] = mid[done]
+        keep_lo = ~done & ((flo[live] < 0) == (fm < 0))
+        lo[live[keep_lo]] = mid[keep_lo]
+        flo[live[keep_lo]] = fm[keep_lo]
+        move_hi = ~done & ~keep_lo
+        hi[live[move_hi]] = mid[move_hi]
+        live = live[~done]
+    bisected = (0.5 * (lo + hi)).tolist()
+
+    found = []
+    for roots, first, count in per_scan:
+        for r in bisected[first : first + count]:
+            if abs(r) > 1e-9 and not any(abs(r - y) <= 1e-9 * max(1.0, abs(r)) for y in roots):
+                roots.append(r)
+        found.append(sorted(roots))
+    return found
 
 
 @dataclass(frozen=True)

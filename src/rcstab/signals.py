@@ -164,8 +164,12 @@ def integrate_lorenz(
         raise ValueError(f"n_steps must be positive, got {n_steps}")
 
     def deriv(t, s, out):
-        x, y, z = s
-        out[:] = (sigma * (y - x), x * (rho - z) - y, x * y - beta * z)
+        # Python floats: the same IEEE operations as on numpy scalars,
+        # without a numpy dispatch per operation
+        x, y, z = s.tolist()
+        out[0] = sigma * (y - x)
+        out[1] = x * (rho - z) - y
+        out[2] = x * y - beta * z
 
     samples = _rk4(deriv, initial, dt, n_steps, transient_steps)
     return Trajectory(samples, dt, ("x", "y", "z"))

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .dynamics import (
     NodalDynamics,
     ShiftedNode,
     ratio_candidates,
+    stationary_points,
 )
 from .errors import FixedPointError, InfeasibleTopologyError
 from .network import ReservoirNetwork, SpectralSummary, alpha_max, critical_shifts
@@ -39,6 +42,13 @@ _CMAX_CAP = 1e6
 _CMAX_START = 1e-3
 #: final-state norm below which an unforced trajectory counts as converged
 CONVERGED_NORM = 1e-4
+#: state elements (rows * m) each thread of `simulate_unforced` needs before a
+#: batch is split.  Measured on 2 cores at m = 2, t = 20, serial against two
+#: threads: 40,000 rows took 2.1 s against 1.0 s and 30,000 rows 1.4 s against
+#: 0.8 s, at about the same CPU time; 20,000 rows 0.9 s against 0.6 s at 27%
+#: more CPU; 10,000 rows at t = 50 gained nothing at 74% more CPU, the threads
+#: waiting on the interpreter lock between numpy calls on small blocks.
+SPLIT_ELEMENTS = 30_000
 
 
 class Regime(str, enum.Enum):
@@ -197,8 +207,8 @@ class ShiftedDynamics:
             self._root_values = None
         else:
             roots, values = [], []
-            for node in self.nodes:
-                rs = node.interior_stationary_points(node.scan_halfwidth())
+            halfwidths = [node.scan_halfwidth() for node in self.nodes]
+            for node, rs in zip(self.nodes, stationary_points(self.nodes, halfwidths)):
                 roots.extend(rs)
                 values.extend(float(node.raw(r) / r) for r in rs)
             self._roots = np.array(roots)
@@ -414,22 +424,60 @@ def simulate_unforced(
     dt: float = 0.02,
 ) -> np.ndarray:
     """Integrate the unforced continuous reservoir from a batch of initial
-    conditions; returns the final states (diverged rows become non-finite)."""
-    a_t = network.a.T
+    conditions; returns the final states (diverged rows become non-finite).
+
+    Rows are independent systems, so a large batch is cut into contiguous
+    row blocks of at least SPLIT_ELEMENTS elements, at most one per available
+    core, each stepped on its own thread.  Every row meets the same
+    operations as in one serial batch, so the result does not depend on the
+    split.
+    """
     r = np.array(np.atleast_2d(initials), dtype=float)
-    coupled = np.empty_like(r)
     steps = int(round(t_final / dt))
+    workers = max(1, min(_cores(), r.size // SPLIT_ELEMENTS))
+    if workers == 1:
+        _integrate(network.a.T, f, r, steps, dt)
+        return r
+    errors = []
+
+    def work(rows):
+        try:
+            _integrate(network.a.T, f, rows, steps, dt)
+        except BaseException as exc:  # raised again in the caller below
+            errors.append(exc)
+
+    blocks = np.array_split(r, workers)
+    threads = [threading.Thread(target=work, args=(rows,)) for rows in blocks]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return r
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float) -> None:
+    """Advance rows, a block of unforced states, in place by `steps` RK4
+    steps of r' = f(r) + A r (a_t is A transposed)."""
+    coupled = np.empty_like(rows)
 
     def rhs(_t, state, out):
         f.raw(state, out)
         np.matmul(state, a_t, out=coupled)
         out += coupled
 
-    stepper = rk4_steps(rhs, r, dt)
+    stepper = rk4_steps(rhs, rows, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             next(stepper)
-    return r
 
 
 def converged(

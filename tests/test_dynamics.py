@@ -12,8 +12,11 @@ from rcstab.dynamics import (
     Sigmoid,
     from_config,
     ratio_candidates,
+    stationary_points,
     with_param,
 )
+from rcstab.network import construct_adjacency
+from rcstab.stability import fixed_point
 
 CUBIC = Polynomial((-3.0, 4.0, -1.0))
 
@@ -110,6 +113,82 @@ class TestStationarityRoots:
     def test_flat_sigmoid_has_none(self):
         # p1 = 0 makes r*f'(r) - f(r) vanish identically: no grid point is a root
         assert Sigmoid(0.0, 0.5).interior_stationary_points(10.0) == []
+
+
+def reference_scan(f, c):
+    """The per-node scalar sign-change scan and bisection that
+    `stationary_points` batches across nodes."""
+
+    def g(r):
+        r = np.asarray(r, dtype=float)
+        return r * f.derivative(r) - f.raw(r)
+
+    grid = np.linspace(-c, c, 10_001)
+    grid = grid[np.abs(grid) > 1e-14 * max(1.0, c)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(g(grid))
+    if not np.any(vals):
+        return []
+    roots = [float(grid[i]) for i in np.where(vals == 0.0)[0] if abs(grid[i]) > 1e-9]
+    sign = np.sign(vals)
+    for i in np.where(sign[:-1] * sign[1:] < 0)[0]:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        if lo <= 0.0 <= hi:
+            continue
+        flo = float(vals[i])
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = float(g(mid))
+            if fm == 0.0 or (hi - lo) <= 1e-12 * max(1.0, abs(mid)):
+                lo = hi = mid
+                break
+            if (flo < 0) == (fm < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        r = 0.5 * (lo + hi)
+        if abs(r) > 1e-9 and not any(abs(r - y) <= 1e-9 * max(1.0, abs(r)) for y in roots):
+            roots.append(r)
+    return sorted(roots)
+
+
+class TestBatchedStationaryPoints:
+    """All nodes' sign flips bisected as one array give the roots of the
+    per-node scalar bisection, bit for bit."""
+
+    @staticmethod
+    def check(nodes):
+        halfwidths = [n.scan_halfwidth() for n in nodes]
+        expected = [
+            n.base.interior_stationary_points(c)
+            if n.shift == 0.0 and n.offset == 0.0
+            else reference_scan(n, c)
+            for n, c in zip(nodes, halfwidths)
+        ]
+        assert stationary_points(nodes, halfwidths) == expected
+        assert [n.interior_stationary_points(c) for n, c in zip(nodes, halfwidths)] == expected
+        return expected
+
+    @pytest.mark.parametrize("p1, p2", [(2.0, 0.5), (-4.0, 0.75), (6.0, 0.25)])
+    def test_shifted_sigmoid_network(self, p1, p2):
+        nodes = fixed_point(construct_adjacency(100, seed=0, input_coupling="signs"), Sigmoid(p1, p2)).nodes
+        assert sum(map(len, self.check(nodes))) > 0
+
+    def test_shifted_tanh_with_flipless_and_unmoved_nodes(self):
+        rng = np.random.default_rng(4)
+        base = ScaledTanh(1.3, 0.9)
+        nodes = [ShiftedNode(base, float(q), float(b)) for q, b in rng.normal(0.0, 0.5, (12, 2))]
+        nodes.insert(3, ShiftedNode(base, 0.2, 1.5))  # |offset| > p1: no sign flip
+        nodes.insert(7, ShiftedNode(base, 0.0, 0.0))  # keeps the base's own roots
+        roots = self.check(nodes)
+        assert roots[3] == [] and roots[7] == []
+        assert sum(map(len, roots)) >= 12
+
+    def test_flat_sigmoid(self):
+        base = Sigmoid(0.0, 0.5)
+        nodes = [ShiftedNode(base, 0.3, 0.0), ShiftedNode(base, -1.2, 0.0)]
+        assert self.check(nodes) == [[], []]
+        assert base.interior_stationary_points(10.0) == reference_scan(base, 10.0) == []
 
 
 class TestRatioCandidates:

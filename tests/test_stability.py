@@ -2,11 +2,14 @@
 basin verification."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import rcstab as rc
+from rcstab import stability
 from rcstab.errors import FixedPointError
 from rcstab.stability import Regime, ShiftedDynamics
 
@@ -311,6 +314,66 @@ class TestBasinVerify:
             assert frac == 1.0, (f, report.c_max)
             checked += 1
         assert checked == 20
+
+
+class TestSplitUnforced:
+    """A batch cut into row blocks on threads gives the serial result."""
+
+    @staticmethod
+    def serial(*args):
+        assert np.size(args[2]) < stability.SPLIT_ELEMENTS  # one block
+        return stability.simulate_unforced(*args)
+
+    @staticmethod
+    def force_split(monkeypatch):
+        # three uneven blocks whatever the machine's core count
+        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 1)
+        monkeypatch.setattr(stability, "_cores", lambda: 3)
+
+    def test_two_nodes_with_divergent_row(self, two_node_system, monkeypatch):
+        net, f = two_node_system
+        initials = np.random.default_rng(8).uniform(-4.0, 4.0, size=(40, 2))
+        initials[23] = (1e3, -1e3)  # RK4 at dt = 0.02 overflows from here
+        expected = self.serial(net, f, initials, 5.0, 0.02)
+        assert not np.all(np.isfinite(expected[23]))
+        assert np.all(np.isfinite(np.delete(expected, 23, axis=0)))
+        before = threading.active_count()
+        self.force_split(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
+        try:
+            got = stability.simulate_unforced(net, f, initials, 5.0, 0.02)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == expected.tobytes()
+        assert threading.active_count() == before
+
+    def test_hundred_nodes(self, ensemble_network, monkeypatch):
+        f = rc.Polynomial((-1.0, 0.3, -0.5))
+        initials = np.random.default_rng(9).normal(size=(50, 100))
+        expected = self.serial(ensemble_network, f, initials, 1.0, 0.02)
+        before = threading.active_count()
+        self.force_split(monkeypatch)
+        got = stability.simulate_unforced(ensemble_network, f, initials, 1.0, 0.02)
+        assert got.tobytes() == expected.tobytes()
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_caller(self, two_node_system, monkeypatch):
+        net, _ = two_node_system
+        self.force_split(monkeypatch)
+
+        class Faulty(rc.Polynomial):
+            def evaluate(self, params, r, out):
+                if np.any(r > 100.0):
+                    raise RuntimeError("faulty node")
+                return super().evaluate(params, r, out)
+
+        initials = np.zeros((30, 2))
+        initials[-1] = (500.0, 0.0)  # only the last block meets the fault
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="faulty node"):
+            stability.simulate_unforced(net, Faulty((-1.0,)), initials, 1.0, 0.02)
+        assert threading.active_count() == before
 
 
 class TestAnalyzeDispatch:
