@@ -7,7 +7,6 @@ from .dynamics import (
     Polynomial,
     RatioCandidates,
     ScaledTanh,
-    ShiftedNode,
     Sigmoid,
     ratio_candidates,
     with_param,
@@ -51,7 +50,6 @@ from .stability import (
     fixed_point,
     kstar_continuous,
     kstar_discrete,
-    linear_stability,
 )
 from .sweep import (
     BasinMap,
@@ -70,7 +68,6 @@ __all__ = [
     "Polynomial",
     "RatioCandidates",
     "ScaledTanh",
-    "ShiftedNode",
     "Sigmoid",
     "ratio_candidates",
     "with_param",
@@ -110,7 +107,6 @@ __all__ = [
     "fixed_point",
     "kstar_continuous",
     "kstar_discrete",
-    "linear_stability",
     # sweep
     "BasinMap",
     "GridSpec",

@@ -25,7 +25,6 @@ from .errors import (
     AnalysisError,
     ConfigError,
     ConstructionError,
-    FixedPointError,
     IntegrationDivergedError,
     RcstabError,
     SpectralRadiusError,
@@ -39,7 +38,6 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
     AnalysisError,
-    FixedPointError,
     ConstructionError,
     SpectralRadiusError,
     IntegrationDivergedError,

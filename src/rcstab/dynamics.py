@@ -4,8 +4,8 @@ Every reservoir node evolves under a scalar function f(r).  Three families are
 supported: polynomials without constant term (so the origin stays a fixed
 point of the unforced network), scaled tanh, and a logistic sigmoid.  The
 sigmoid does not vanish at the origin; the stability analysis handles it
-through a per-node shifted view (`ShiftedNode`) built around the reservoir's
-actual fixed point.
+by recentring every node on the reservoir's fixed point
+(`stability.ShiftedDynamics`).
 
 The stability bounds need the extrema of the ratio f(r)/r over intervals
 [-c, c].  Those extrema can only occur at four kinds of points: the two
@@ -232,7 +232,7 @@ class Sigmoid(NodalDynamics):
 
     f(0) = p1/2 != 0, so this kind never satisfies the homogeneous
     origin-fixed-point precondition; route it through the reservoir fixed
-    point and `ShiftedNode`.
+    point and `stability.ShiftedDynamics`.
     """
 
     p1: float
@@ -264,86 +264,18 @@ class Sigmoid(NodalDynamics):
         return {"kind": "sigmoid", "p1": self.p1, "p2": self.p2}
 
 
-@dataclass(frozen=True)
-class ShiftedNode(NodalDynamics):
-    """Per-node view fbar(r) = f(r + shift) + offset after a fixed-point move.
-
-    With `offset = (A q*)_i - q*_i` the construction makes fbar(0) = 0 up to
-    the fixed-point residual, which restores the homogeneous analysis around
-    the reservoir's true operating point.
-    """
-
-    base: NodalDynamics
-    shift: float
-    offset: float
-
-    def params(self):
-        return (self.shift, self.offset, *self.base.params())
-
-    def evaluate(self, params, r, out):
-        shift, offset, *base = params
-        self.base.evaluate(base, r + shift, out)
-        out += offset
-        return out
-
-    def derivative(self, r):
-        return self.base.derivative(np.asarray(r, dtype=float) + self.shift)
-
-    def interior_stationary_points(self, c):
-        return stationary_points([self], [c])[0]
-
-    def scan_halfwidth(self) -> float:
-        """Window beyond which the stationarity function cannot change sign."""
-        base = self.base
-        if isinstance(base, (ScaledTanh, Sigmoid)):
-            p2 = abs(base.p2)
-            if p2 < 1e-9:
-                return abs(self.shift) + 1.0
-            return abs(self.shift) + 80.0 / p2
-        return abs(self.shift) + 100.0
-
-    def ratio_limits(self):
-        if self.shift == 0.0 and self.offset == 0.0:
-            return self.base.ratio_limits()
-        if isinstance(self.base, Polynomial):
-            return None
-        # bounded base: endpoint chords decay to zero, so the limiting
-        # extrema are attained among f'(0), interior stationary values and 0.
-        vals = [0.0, float(self.derivative(0.0))]
-        for r in self.interior_stationary_points(self.scan_halfwidth()):
-            vals.append(float(self.raw(r) / r))
-        return (min(vals), max(vals))
-
-    def to_config(self):
-        return {
-            "kind": "shifted",
-            "base": self.base.to_config(),
-            "shift": self.shift,
-            "offset": self.offset,
-        }
-
-
-def stationary_points(nodes, halfwidths) -> list[list[float]]:
-    """Each ShiftedNode's interior_stationary_points over its own half-width.
-
-    The nodes share one base.  Nodes that move nothing keep their base's own
-    roots; the scans of the others share one bisection.
-    """
-    roots = [
-        None if n.shift != 0.0 or n.offset != 0.0 else n.base.interior_stationary_points(c)
-        for n, c in zip(nodes, halfwidths)
-    ]
-    scanned = [k for k, rs in enumerate(roots) if rs is None]
-    if scanned:
-        found = _scan_stationary_points(
-            nodes[scanned[0]].base,
-            [nodes[k].shift for k in scanned],
-            [nodes[k].offset for k in scanned],
-            [halfwidths[k] for k in scanned],
-        )
-        for k, rs in zip(scanned, found):
-            roots[k] = rs
-    return roots
+def shifted_stationary_points(base: NodalDynamics, shifts, offsets) -> list[list[float]]:
+    """Interior stationary points of every fbar(r) = base(r + shift) + offset,
+    one list per (shift, offset), each over the window beyond which its
+    stationarity function cannot change sign: |shift| + 80/|p2| for tanh and
+    sigmoid (|shift| + 1 when p2 vanishes), |shift| + 100 for polynomials."""
+    shifts = np.asarray(shifts, dtype=float)
+    if isinstance(base, (ScaledTanh, Sigmoid)):
+        p2 = abs(base.p2)
+        reach = 1.0 if p2 < 1e-9 else 80.0 / p2
+    else:
+        reach = 100.0
+    return _scan_stationary_points(base, shifts, offsets, np.abs(shifts) + reach)
 
 
 def _scan_stationary_points(base: NodalDynamics, shifts, offsets, halfwidths) -> list[list[float]]:
@@ -470,12 +402,6 @@ def from_config(cfg: dict) -> NodalDynamics:
         return Polynomial(tuple(cfg["coefficients"]))
     if kind in _PARAM_KINDS:
         return _PARAM_KINDS[kind](p1=float(cfg["p1"]), p2=float(cfg["p2"]))
-    if kind == "shifted":
-        return ShiftedNode(
-            base=from_config(cfg["base"]),
-            shift=float(cfg["shift"]),
-            offset=float(cfg["offset"]),
-        )
     raise ValueError(f"unknown dynamics kind: {kind!r}")
 
 

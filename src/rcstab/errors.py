@@ -45,12 +45,8 @@ class InfeasibleTopologyError(RcstabError):
     """The admissible shift interval [rho_minus, rho_plus] is empty."""
 
 
-class FixedPointError(RcstabError):
+class FixedPointError(AnalysisError):
     """Fixed-point search did not converge within its iteration budget."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class TruncatedRunError(RcstabError):

@@ -162,20 +162,3 @@ def critical_shifts(a) -> SpectralSummary:
         critical_minus=i_minus,
     )
 
-
-def save_matrix_csv(a, path) -> None:
-    """Row-major CSV dump at full double precision."""
-    a = np.asarray(a, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows, dtype=float)

@@ -49,14 +49,6 @@ class Trajectory:
             )
         return self.samples[:, self.component_names.index(name)]
 
-    def save_csv(self, path) -> None:
-        """Write `t,<components>` rows at full double precision."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(self.component_names) + "\n")
-            for k, row in enumerate(self.samples):
-                cells = [f"{k * self.dt:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(cells) + "\n")
-
 
 @dataclass(frozen=True)
 class SignalPair:
@@ -83,9 +75,6 @@ class SignalPair:
     @property
     def length(self) -> int:
         return self.input.shape[0]
-
-    def __len__(self) -> int:
-        return self.length
 
 
 def rk4_steps(deriv, y, dt):

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    NodalDynamics,
-    ShiftedNode,
-    ratio_candidates,
-    stationary_points,
-)
+from .dynamics import NodalDynamics, ratio_candidates, shifted_stationary_points
 from .errors import FixedPointError, InfeasibleTopologyError
 from .network import ReservoirNetwork, SpectralSummary, alpha_max, critical_shifts
 from .signals import rk4_steps
@@ -192,27 +187,22 @@ class ShiftedDynamics:
         self.offsets = np.asarray(offsets, dtype=float)
         if self.q_star.shape != self.offsets.shape or self.q_star.ndim != 1:
             raise ValueError("q_star and offsets must be matching vectors")
-        self.nodes = [
-            ShiftedNode(base, float(q), float(b))
-            for q, b in zip(self.q_star, self.offsets)
-        ]
         self.homogeneous = bool(
             base.origin_fixed()
             and np.all(self.q_star == 0.0)
             and np.all(self.offsets == 0.0)
         )
-        self.deriv0 = np.array([n.derivative(0.0) for n in self.nodes])
+        self.deriv0 = base.derivative(self.q_star)
         if self.homogeneous:
             self._roots = None
             self._root_values = None
         else:
-            roots, values = [], []
-            halfwidths = [node.scan_halfwidth() for node in self.nodes]
-            for node, rs in zip(self.nodes, stationary_points(self.nodes, halfwidths)):
-                roots.extend(rs)
-                values.extend(float(node.raw(r) / r) for r in rs)
-            self._roots = np.array(roots)
-            self._root_values = np.array(values)
+            found = shifted_stationary_points(base, self.q_star, self.offsets)
+            node = np.repeat(np.arange(self.m), [len(rs) for rs in found])
+            self._roots = np.array([r for rs in found for r in rs])
+            self._root_values = (
+                base.raw(self._roots + self.q_star[node]) + self.offsets[node]
+            ) / self._roots
 
     @property
     def m(self) -> int:
@@ -390,30 +380,6 @@ def cmax_discrete(
         threshold=threshold,
         binding_side=side,
     )
-
-
-def linear_stability(
-    network: ReservoirNetwork,
-    dyn: NodalDynamics | ShiftedDynamics,
-    time_kind: str,
-) -> bool:
-    """Linearized test at the operating point.
-
-    Continuous time: the Jacobian A + f'(0) I must have all eigenvalue real
-    parts negative.  Discrete time: its spectral radius must be below one.
-    Recentered dynamics contribute their per-node slopes on the diagonal.
-    """
-    if time_kind not in ("continuous", "discrete"):
-        raise ValueError(f"time_kind must be continuous or discrete: {time_kind!r}")
-    if isinstance(dyn, ShiftedDynamics):
-        diag = np.diag(dyn.deriv0)
-    else:
-        diag = float(dyn.derivative(0.0)) * np.eye(network.m)
-    jac = network.a + diag
-    eig = np.linalg.eigvals(jac)
-    if time_kind == "continuous":
-        return bool(eig.real.max() < 0.0)
-    return bool(np.abs(eig).max() < 1.0)
 
 
 def simulate_unforced(

@@ -88,6 +88,27 @@ class TestAnalyze:
         assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
         assert "f(0) = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dyn",
+        [
+            {"kind": "shifted", "base": {"kind": "tanh", "p1": 1, "p2": 1},
+             "shift": 0, "offset": 0},
+            {"kind": "relu", "p1": 1, "p2": 1},
+        ],
+        ids=["shifted", "relu"],
+    )
+    def test_unknown_dynamics_kind_exits_2(self, tmp_path, capsys, dyn):
+        # the two-node rotation at half scale keeps its eigenvalues inside the
+        # unit circle, so only the dynamics kind can make this exit nonzero
+        cfg = {
+            "dynamics": dyn,
+            "topology": {"matrix": [[0, 0.5], [-0.5, 0]]},
+            "runtime": {"time_kind": "discrete"},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "unknown dynamics kind" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path):
         # flat sigmoid with unit self-coupling has no fixed point
         cfg = {

@@ -8,15 +8,14 @@ import pytest
 from rcstab.dynamics import (
     Polynomial,
     ScaledTanh,
-    ShiftedNode,
     Sigmoid,
     from_config,
     ratio_candidates,
-    stationary_points,
+    shifted_stationary_points,
     with_param,
 )
 from rcstab.network import construct_adjacency
-from rcstab.stability import fixed_point
+from rcstab.stability import ShiftedDynamics, fixed_point
 
 CUBIC = Polynomial((-3.0, 4.0, -1.0))
 
@@ -63,7 +62,6 @@ class TestDerivative:
             Polynomial((0.5, 0.0, -0.2, 0.1)),
             ScaledTanh(1.3, 0.8),
             Sigmoid(-2.0, 1.1),
-            ShiftedNode(Sigmoid(1.0, 2.0), shift=0.7, offset=-0.88),
         ],
     )
     def test_matches_central_difference(self, f):
@@ -115,13 +113,23 @@ class TestStationarityRoots:
         assert Sigmoid(0.0, 0.5).interior_stationary_points(10.0) == []
 
 
-def reference_scan(f, c):
-    """The per-node scalar sign-change scan and bisection that
-    `stationary_points` batches across nodes."""
+def reference_halfwidth(base, q):
+    """The per-node scan window: |q| + 80/|p2| for tanh and sigmoid (|q| + 1
+    when p2 vanishes), |q| + 100 for polynomials."""
+    if isinstance(base, (ScaledTanh, Sigmoid)):
+        p2 = abs(base.p2)
+        return abs(q) + (1.0 if p2 < 1e-9 else 80.0 / p2)
+    return abs(q) + 100.0
+
+
+def reference_scan(base, q, b, c):
+    """The per-node scalar sign-change scan and bisection, over [-c, c], of
+    r*fbar'(r) - fbar(r) with fbar(r) = base(r + q) + b, which
+    `shifted_stationary_points` batches across nodes."""
 
     def g(r):
         r = np.asarray(r, dtype=float)
-        return r * f.derivative(r) - f.raw(r)
+        return r * base.derivative(r + q) - (base.raw(r + q) + b)
 
     grid = np.linspace(-c, c, 10_001)
     grid = grid[np.abs(grid) > 1e-14 * max(1.0, c)]
@@ -154,41 +162,54 @@ def reference_scan(f, c):
 
 class TestBatchedStationaryPoints:
     """All nodes' sign flips bisected as one array give the roots of the
-    per-node scalar bisection, bit for bit."""
+    per-node scalar bisection, bit for bit, and `ShiftedDynamics` reads its
+    per-node slopes, roots and root values off them as a per-node scalar
+    computation would."""
 
     @staticmethod
-    def check(nodes):
-        halfwidths = [n.scan_halfwidth() for n in nodes]
+    def check(base, shifts, offsets):
         expected = [
-            n.base.interior_stationary_points(c)
-            if n.shift == 0.0 and n.offset == 0.0
-            else reference_scan(n, c)
-            for n, c in zip(nodes, halfwidths)
+            reference_scan(base, q, b, reference_halfwidth(base, q))
+            for q, b in zip(shifts, offsets)
         ]
-        assert stationary_points(nodes, halfwidths) == expected
-        assert [n.interior_stationary_points(c) for n, c in zip(nodes, halfwidths)] == expected
+        assert shifted_stationary_points(base, shifts, offsets) == expected
+
+        shifted = ShiftedDynamics(base, shifts, offsets)
+        deriv0 = np.array([base.derivative(np.asarray(0.0) + q) for q in shifts])
+        roots = [r for rs in expected for r in rs]
+        values = [
+            float((base.raw(r + q) + b) / r)
+            for q, b, rs in zip(shifts, offsets, expected)
+            for r in rs
+        ]
+        assert shifted.deriv0.tobytes() == deriv0.tobytes()
+        assert shifted._roots.tolist() == roots
+        assert shifted._root_values.tolist() == values
         return expected
 
     @pytest.mark.parametrize("p1, p2", [(2.0, 0.5), (-4.0, 0.75), (6.0, 0.25)])
     def test_shifted_sigmoid_network(self, p1, p2):
-        nodes = fixed_point(construct_adjacency(100, seed=0, input_coupling="signs"), Sigmoid(p1, p2)).nodes
-        assert sum(map(len, self.check(nodes))) > 0
+        net = construct_adjacency(100, seed=0, input_coupling="signs")
+        shifted = fixed_point(net, Sigmoid(p1, p2))
+        roots = self.check(shifted.base, shifted.q_star.tolist(), shifted.offsets.tolist())
+        assert sum(map(len, roots)) > 0
 
     def test_shifted_tanh_with_flipless_and_unmoved_nodes(self):
         rng = np.random.default_rng(4)
         base = ScaledTanh(1.3, 0.9)
-        nodes = [ShiftedNode(base, float(q), float(b)) for q, b in rng.normal(0.0, 0.5, (12, 2))]
-        nodes.insert(3, ShiftedNode(base, 0.2, 1.5))  # |offset| > p1: no sign flip
-        nodes.insert(7, ShiftedNode(base, 0.0, 0.0))  # keeps the base's own roots
-        roots = self.check(nodes)
+        shifts, offsets = (col.tolist() for col in rng.normal(0.0, 0.5, (12, 2)).T)
+        shifts.insert(3, 0.2)  # |offset| > p1: no sign flip
+        offsets.insert(3, 1.5)
+        shifts.insert(7, 0.0)  # unmoved: tanh has no interior stationary point
+        offsets.insert(7, 0.0)
+        roots = self.check(base, shifts, offsets)
         assert roots[3] == [] and roots[7] == []
         assert sum(map(len, roots)) >= 12
 
     def test_flat_sigmoid(self):
         base = Sigmoid(0.0, 0.5)
-        nodes = [ShiftedNode(base, 0.3, 0.0), ShiftedNode(base, -1.2, 0.0)]
-        assert self.check(nodes) == [[], []]
-        assert base.interior_stationary_points(10.0) == reference_scan(base, 10.0) == []
+        assert self.check(base, [0.3, -1.2], [0.0, 0.0]) == [[], []]
+        assert base.interior_stationary_points(10.0) == reference_scan(base, 0.0, 0.0, 10.0) == []
 
 
 class TestRatioCandidates:
@@ -225,15 +246,10 @@ class TestRatioCandidates:
             Polynomial((1.0, -2.0, 0.0, 0.5)),
             Polynomial((0.2, 0.0, 0.0, 0.0, -1.0)),
             ScaledTanh(2.5, 1.2),
-            ShiftedNode(Sigmoid(1.0, 2.0), shift=0.8439469994142369,
-                        offset=-0.8439469994142369 + 0.0),
         ],
     )
     @pytest.mark.parametrize("c", [0.3, 1.0, 4.7])
     def test_candidates_bound_the_ratio(self, f, c):
-        if isinstance(f, ShiftedNode):
-            # recentre exactly: offset = -f(shift) makes fbar(0) = 0
-            f = ShiftedNode(f.base, f.shift, -float(f.base.raw(f.shift)))
         cands = ratio_candidates(f, c)
         r = np.linspace(-c, c, 10_001)
         r = r[np.abs(r) > 1e-9]

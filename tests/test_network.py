@@ -8,8 +8,6 @@ from rcstab.network import (
     alpha_max,
     construct_adjacency,
     critical_shifts,
-    load_matrix_csv,
-    save_matrix_csv,
     spectral_abscissa,
     spectral_normalize,
 )
@@ -150,10 +148,3 @@ class TestCriticalShifts:
                 shifted = np.linalg.eigvals(k * np.eye(m) + a)
                 assert np.all(np.abs(shifted) <= 1.0 + 1e-9)
 
-
-def test_matrix_csv_roundtrip(tmp_path):
-    net = construct_adjacency(9, seed=11)
-    path = tmp_path / "a.csv"
-    save_matrix_csv(net.a, path)
-    back = load_matrix_csv(path)
-    assert np.array_equal(back, net.a)

@@ -123,7 +123,7 @@ class TestSignalPair:
         for seq in (pair.input, pair.target):
             assert abs(seq.mean()) <= 1e-10
             assert abs(seq.std() - 1.0) <= 1e-10
-        assert len(pair) == 600
+        assert pair.length == 600
 
     def test_duffing_x_to_y(self):
         traj = integrate_duffing(n_steps=400, dt=0.02, transient_steps=1000)
@@ -144,13 +144,3 @@ class TestSignalPair:
         pair = SignalSpec(dt=0.02, transient_steps=200).build(250)
         assert pair.length == 250
 
-
-def test_trajectory_csv(tmp_path):
-    traj = integrate_lorenz(n_steps=5, dt=0.02, transient_steps=0)
-    path = tmp_path / "traj.csv"
-    traj.save_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x,y,z"
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed[:, 1:], traj.samples)
-    assert np.allclose(parsed[:, 0], 0.02 * np.arange(5))

@@ -231,8 +231,8 @@ class TestNonHomogeneous:
         d0_formula = 2.0 * e / (1.0 + e) ** 2
         assert abs(shifted.deriv0[0] - d0_formula) <= 1e-10
         h = 1e-6
-        node = shifted.nodes[0]
-        fd = (node.raw(h) - node.raw(-h)) / (2 * h)
+        q, b = shifted.q_star[0], shifted.offsets[0]
+        fd = ((f.raw(h + q) + b) - (f.raw(-h + q) + b)) / (2 * h)
         assert abs(fd - d0_formula) <= 1e-6
 
     def test_small_radius_collapses_to_slopes(self, ensemble_network):
@@ -249,8 +249,8 @@ class TestNonHomogeneous:
         km, kp = shifted.kpair(c)
         r = np.linspace(-c, c, 2001)
         r = r[np.abs(r) > 1e-9]
-        for node in shifted.nodes[::7]:
-            ratio = node.raw(r) / r
+        for q, b in zip(shifted.q_star[::7], shifted.offsets[::7]):
+            ratio = (f.raw(r + q) + b) / r
             assert np.min(ratio) >= km - 1e-9
             assert np.max(ratio) <= kp + 1e-9
 
@@ -264,18 +264,9 @@ class TestNonHomogeneous:
         rbar = r - q
         for _ in range(100):
             r = np.asarray(f.raw(r)) + net.a @ r
-            fbar = np.array([node.raw(x) for node, x in zip(shifted.nodes, rbar)])
+            fbar = f.raw(rbar + q) + shifted.offsets
             rbar = fbar + net.a @ rbar
             assert np.max(np.abs((rbar + q) - r)) <= 1e-10
-
-
-class TestLinearStability:
-    def test_continuous_ensemble(self, ensemble_network):
-        assert rc.linear_stability(ensemble_network, rc.Polynomial((-3.0,)), "continuous")
-        assert not rc.linear_stability(ensemble_network, rc.Polynomial((0.0,)), "continuous")
-
-    def test_discrete_zero_gain(self, ensemble_network):
-        assert rc.linear_stability(ensemble_network, rc.Polynomial((0.0,)), "discrete")
 
 
 class TestBasinVerify:
