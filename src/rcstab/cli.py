@@ -304,6 +304,7 @@ def cmd_basin(cfg: dict, out_dir: Path, args) -> int:
         )
         if options["resolution"] < 1:
             raise ConfigError(f"basin.resolution must be at least 1, got {options['resolution']}")
+        stability.step_count(options["t_final"], options["dt"])  # rejects bad steps
     basin = sweep.basin_map(net, f, **options)
     sweep.write_basin_csv(basin, out_dir / "basin.csv")
     frac = float(basin.converged.mean())

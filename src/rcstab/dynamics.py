@@ -101,11 +101,19 @@ class Polynomial(NodalDynamics):
         return self.coeffs
 
     def evaluate(self, params, r, out):
-        out.fill(0.0)
-        for p in reversed(params):
-            out *= r
+        """Horner from the leading term: out = pd*r, then out += p; out *= r
+        for each lower coefficient p.
+
+        This equals, bit for bit, the form that starts from 0 and takes
+        out *= r; out += p for every coefficient and a last out *= r, because
+        (0*r + pd)*r is pd*r for every finite r.  The one exception is a
+        leading coefficient of -0.0, where f(r) may differ in the sign of a
+        zero.  A non-finite r gives a non-finite f(r) in both forms.
+        """
+        np.multiply(r, params[-1], out=out)
+        for p in reversed(params[:-1]):
             out += p
-        out *= r
+            out *= r
         return out
 
     def derivative(self, r):

@@ -87,7 +87,10 @@ def rk4_steps(deriv, y, dt):
     reservoir all step through it.  Its four slopes and the stage state are
     allocated once, so a step allocates nothing, and every element sees the
     operations of y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) with stage inputs
-    y + (dt/2)*k in this order, whatever the batch around it.
+    y + (dt/2)*k in this order, whatever the batch around it.  A row's bits
+    therefore depend on its batch only through deriv: a BLAS product over
+    the batch, as in `stability.simulate_unforced`, may round by the
+    batch's height.
     """
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     # 0-d arrays, because numpy converts a Python float operand on every call

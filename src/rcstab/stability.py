@@ -37,12 +37,14 @@ _CMAX_CAP = 1e6
 _CMAX_START = 1e-3
 #: final-state norm below which an unforced trajectory counts as converged
 CONVERGED_NORM = 1e-4
-#: state elements (rows * m) each thread of `simulate_unforced` needs before a
-#: batch is split.  Measured on 2 cores at m = 2, t = 20, serial against two
-#: threads: 40,000 rows took 2.1 s against 1.0 s and 30,000 rows 1.4 s against
-#: 0.8 s, at about the same CPU time; 20,000 rows 0.9 s against 0.6 s at 27%
-#: more CPU; 10,000 rows at t = 50 gained nothing at 74% more CPU, the threads
-#: waiting on the interpreter lock between numpy calls on small blocks.
+#: state elements (rows * m) per row block of `simulate_unforced`, which cuts
+#: a batch into max(1, rows * m // SPLIT_ELEMENTS) blocks.  Measured on 2
+#: cores at m = 2, t = 20, one block against two blocks on two threads
+#: (median of 3, OPENBLAS_NUM_THREADS=1): 40,000 rows took 1.70 s against
+#: 0.98 s and 30,000 rows 1.26 s against 0.89 s, at 6-22% more CPU; 20,000
+#: rows 0.79 s against 0.89 s and 10,000 rows 0.39 s against 0.68 s, the
+#: threads waiting on the interpreter lock between numpy calls on small
+#: blocks.  So the crossover lies between 20,000 and 30,000 rows.
 SPLIT_ELEMENTS = 30_000
 
 
@@ -382,6 +384,16 @@ def cmax_discrete(
     )
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Number of RK4 steps of size dt that reach t_final; raises ValueError
+    unless dt is finite and positive and t_final finite and non-negative."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
+    return int(round(t_final / dt))
+
+
 def simulate_unforced(
     network: ReservoirNetwork,
     f: NodalDynamics,
@@ -392,32 +404,40 @@ def simulate_unforced(
     """Integrate the unforced continuous reservoir from a batch of initial
     conditions; returns the final states (diverged rows become non-finite).
 
-    Rows are independent systems, so a large batch is cut into contiguous
-    row blocks of at least SPLIT_ELEMENTS elements, at most one per available
-    core, each stepped on its own thread.  Every row meets the same
-    operations as in one serial batch, so the result does not depend on the
-    split.
+    Rows are independent systems.  The batch is cut into
+    max(1, rows * m // SPLIT_ELEMENTS) contiguous row blocks, a number fixed
+    by the batch's shape, and the blocks are stepped on one thread per
+    available core, at most one per block, thread i taking blocks i,
+    i + workers, ...  A block's coupling product is one BLAS call on a
+    C-contiguous copy of A transposed, whose bits at m > 2 may depend on the
+    block's height; since the blocks never depend on the core count, neither
+    does the result.
     """
+    steps = step_count(t_final, dt)
     r = np.array(np.atleast_2d(initials), dtype=float)
-    steps = int(round(t_final / dt))
-    workers = max(1, min(_cores(), r.size // SPLIT_ELEMENTS))
-    if workers == 1:
-        _integrate(network.a.T, f, r, steps, dt)
-        return r
+    a_t = np.ascontiguousarray(network.a.T)
+    blocks = np.array_split(r, max(1, r.size // SPLIT_ELEMENTS))
+    workers = min(_cores(), len(blocks))
     errors = []
 
-    def work(rows):
+    def work(share):
         try:
-            _integrate(network.a.T, f, rows, steps, dt)
+            for rows in share:
+                _integrate(a_t, f, rows, steps, dt)
         except BaseException as exc:  # raised again in the caller below
             errors.append(exc)
 
-    blocks = np.array_split(r, workers)
-    threads = [threading.Thread(target=work, args=(rows,)) for rows in blocks]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    if workers == 1:
+        work(blocks)
+    else:
+        threads = [
+            threading.Thread(target=work, args=(blocks[i::workers],))
+            for i in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
     return r
@@ -432,7 +452,8 @@ def _cores() -> int:
 
 def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float) -> None:
     """Advance rows, a block of unforced states, in place by `steps` RK4
-    steps of r' = f(r) + A r (a_t is A transposed)."""
+    steps of r' = f(r) + A r.  a_t is a C-contiguous copy of A transposed,
+    so each stage's coupling is one row-major product rows @ a_t."""
     coupled = np.empty_like(rows)
 
     def rhs(_t, state, out):
@@ -472,6 +493,8 @@ def basin_verify(
     """
     if not c > 0:
         raise ValueError(f"radius must be positive, got {c}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     m = network.m
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=(n_samples, m))

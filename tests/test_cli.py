@@ -215,6 +215,9 @@ class TestBasinCommand:
             {"window": [["a", 1], [0, 1]], "resolution": 3},
             {"resolution": -1},
             {"resolution": 0},
+            {"dt": 0},
+            {"dt": -0.02},
+            {"t_final": -5},
         ],
     )
     def test_malformed_basin_value_exits_2(self, tmp_path, basin):

@@ -42,6 +42,70 @@ class TestEvaluation:
         assert out.shape == r.shape
 
 
+def reference_horner(params, r):
+    """Polynomial.evaluate's earlier form: from 0, out *= r; out += p for
+    every coefficient, leading first, then a last out *= r."""
+    out = np.zeros_like(r)
+    for p in reversed(params):
+        out *= r
+        out += p
+    out *= r
+    return out
+
+
+class TestHorner:
+    """Polynomial.evaluate, which starts from pd*r, equals the fill-based
+    Horner bit for bit on finite r."""
+
+    R = np.concatenate(
+        [np.linspace(-5.0, 5.0, 1001), [0.0, -0.0, 5e-324, -1e-300, 1e80, -1e150]]
+    )
+    COEFFS = [
+        (-3.0,),
+        (0.0,),
+        (-3.0, 4.0, -1.0),
+        (1.0, 0.0, 0.0, 0.0, 1.0),  # zero inner coefficients
+        (-3.0, 4.0, -1.0, 0.0),  # zero leading coefficient
+        (0.0, -2.0, 0.0),
+    ]
+
+    @staticmethod
+    def same_bits(got, expected):
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("coeffs", COEFFS)
+    def test_tuple_params(self, coeffs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = Polynomial(coeffs).raw(self.R)
+            self.same_bits(got, reference_horner(coeffs, self.R))
+
+    def test_per_element_params(self):
+        # the (n_params, slots, m) layout reservoir.drive_cells passes
+        cells = [c + (0.0,) * (5 - len(c)) for c in self.COEFFS]
+        params = np.stack([np.array(c)[:, None] * np.ones(7) for c in cells], axis=1)
+        r = np.random.default_rng(5).uniform(-3.0, 3.0, size=(len(cells), 7))
+        r[0, 0], r[1, 1], r[2, 2] = 0.0, -0.0, 1e80
+        out = np.empty_like(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            CUBIC.evaluate(params, r, out)
+            self.same_bits(out, reference_horner(params, r))
+
+    @pytest.mark.parametrize("coeffs", COEFFS)
+    def test_non_finite_stays_non_finite(self, coeffs):
+        r = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.any(np.isfinite(Polynomial(coeffs).raw(r)))
+            assert not np.any(np.isfinite(reference_horner(coeffs, r)))
+
+    def test_negative_zero_leading_coefficient(self):
+        # the one exception: f(r) may differ in the sign of a zero
+        coeffs = (-0.0,)
+        got = Polynomial(coeffs).raw(self.R)
+        expected = reference_horner(coeffs, self.R)
+        assert np.array_equal(got, expected)
+        assert got.tobytes() != expected.tobytes()
+
+
 class TestDerivative:
     def test_polynomial_at_zero(self):
         assert CUBIC.derivative(0.0) == -3.0

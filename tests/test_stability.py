@@ -11,6 +11,7 @@ import pytest
 import rcstab as rc
 from rcstab import stability
 from rcstab.errors import FixedPointError
+from rcstab.signals import rk4_steps
 from rcstab.stability import Regime, ShiftedDynamics
 
 CUBIC = rc.Polynomial((-3.0, 4.0, -1.0))
@@ -280,6 +281,11 @@ class TestBasinVerify:
         frac = rc.basin_verify(net, f, 0.99 * report.c_max, 500, seed=2)
         assert frac == 1.0
 
+    def test_rejects_no_samples(self, two_node_system):
+        net, f = two_node_system
+        with pytest.raises(ValueError, match="n_samples"):
+            rc.basin_verify(net, f, 0.5, 0, seed=1)
+
     def test_soundness_on_random_systems(self):
         # the theorem's conclusion: every certified ball is inside the basin
         rng = np.random.default_rng(14)
@@ -307,51 +313,111 @@ class TestBasinVerify:
         assert checked == 20
 
 
+def reference_unforced(network, f, initials, t_final, dt):
+    """simulate_unforced's earlier loop: one batch, the coupling through the
+    transposed view network.a.T and the Horner that starts from 0."""
+    r = np.array(initials, dtype=float)
+    a_t = network.a.T
+    coupled = np.empty_like(r)
+
+    def rhs(_t, state, out):
+        out.fill(0.0)
+        for p in reversed(f.coeffs):
+            out *= state
+            out += p
+        out *= state
+        np.matmul(state, a_t, out=coupled)
+        out += coupled
+
+    stepper = rk4_steps(rhs, r, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(round(t_final / dt))):
+            next(stepper)
+    return r
+
+
+class TestSimulateUnforced:
+    def test_two_node_grid_matches_reference_loop(self, two_node_system):
+        # the basin's 200 x 200 window, which simulate_unforced cuts in two
+        net, f = two_node_system
+        g1, g2 = np.meshgrid(*[np.linspace(-4.0, 4.0, 200)] * 2, indexing="ij")
+        initials = np.column_stack([g1.ravel(), g2.ravel()])
+        got = stability.simulate_unforced(net, f, initials, 2.0, 0.02)
+        expected = reference_unforced(net, f, initials, 2.0, 0.02)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [(1.0, 0.0), (1.0, -0.02), (-5.0, 0.02), (1.0, math.nan), (math.inf, 0.02)],
+    )
+    def test_rejects_bad_step(self, two_node_system, t_final, dt):
+        net, f = two_node_system
+        with pytest.raises(ValueError):
+            stability.simulate_unforced(net, f, np.zeros((3, 2)), t_final, dt)
+
+    def test_zero_horizon_returns_initials(self, two_node_system):
+        net, f = two_node_system
+        initials = np.array([[0.5, -0.25]])
+        assert np.array_equal(stability.simulate_unforced(net, f, initials, 0.0), initials)
+
+
 class TestSplitUnforced:
-    """A batch cut into row blocks on threads gives the serial result."""
+    """A batch is cut into row blocks fixed by its shape, so the result does
+    not depend on how many cores step them."""
+
+    CORES = (2, 3, 8)
 
     @staticmethod
-    def serial(*args):
-        assert np.size(args[2]) < stability.SPLIT_ELEMENTS  # one block
+    def serial(monkeypatch, *args):
+        monkeypatch.setattr(stability, "_cores", lambda: 1)
         return stability.simulate_unforced(*args)
 
-    @staticmethod
-    def force_split(monkeypatch):
-        # three uneven blocks whatever the machine's core count
-        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 1)
-        monkeypatch.setattr(stability, "_cores", lambda: 3)
+    def check_core_counts(self, monkeypatch, expected, *args):
+        before = threading.active_count()
+        for cores in self.CORES:
+            monkeypatch.setattr(stability, "_cores", lambda n=cores: n)
+            got = stability.simulate_unforced(*args)
+            assert got.tobytes() == expected.tobytes(), cores
+        assert threading.active_count() == before
 
     def test_two_nodes_with_divergent_row(self, two_node_system, monkeypatch):
         net, f = two_node_system
         initials = np.random.default_rng(8).uniform(-4.0, 4.0, size=(40, 2))
         initials[23] = (1e3, -1e3)  # RK4 at dt = 0.02 overflows from here
-        expected = self.serial(net, f, initials, 5.0, 0.02)
+        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 25)  # blocks of 14, 13, 13
+        expected = self.serial(monkeypatch, net, f, initials, 5.0, 0.02)
         assert not np.all(np.isfinite(expected[23]))
         assert np.all(np.isfinite(np.delete(expected, 23, axis=0)))
-        before = threading.active_count()
-        self.force_split(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
         try:
-            got = stability.simulate_unforced(net, f, initials, 5.0, 0.02)
+            self.check_core_counts(monkeypatch, expected, net, f, initials, 5.0, 0.02)
         finally:
             sys.setswitchinterval(interval)
-        assert got.tobytes() == expected.tobytes()
-        assert threading.active_count() == before
+
+    def test_twenty_nodes(self, monkeypatch):
+        # at m = 20 OpenBLAS picks its kernel by block height, so a batch
+        # cut in two can differ from one batch in the last bit
+        net = rc.construct_adjacency(20, seed=3, input_coupling="signs")
+        f = rc.Polynomial((-1.0, 0.3, -0.5))
+        initials = np.random.default_rng(10).normal(size=(3001, 20))
+        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 15_000)  # 4 blocks
+        expected = self.serial(monkeypatch, net, f, initials, 0.2, 0.02)
+        self.check_core_counts(monkeypatch, expected, net, f, initials, 0.2, 0.02)
 
     def test_hundred_nodes(self, ensemble_network, monkeypatch):
         f = rc.Polynomial((-1.0, 0.3, -0.5))
         initials = np.random.default_rng(9).normal(size=(50, 100))
-        expected = self.serial(ensemble_network, f, initials, 1.0, 0.02)
-        before = threading.active_count()
-        self.force_split(monkeypatch)
-        got = stability.simulate_unforced(ensemble_network, f, initials, 1.0, 0.02)
-        assert got.tobytes() == expected.tobytes()
-        assert threading.active_count() == before
+        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 1_200)  # 4 blocks
+        expected = self.serial(monkeypatch, ensemble_network, f, initials, 1.0, 0.02)
+        self.check_core_counts(
+            monkeypatch, expected, ensemble_network, f, initials, 1.0, 0.02
+        )
 
     def test_worker_error_reaches_caller(self, two_node_system, monkeypatch):
         net, _ = two_node_system
-        self.force_split(monkeypatch)
+        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 20)  # three blocks of 10
+        monkeypatch.setattr(stability, "_cores", lambda: 3)
 
         class Faulty(rc.Polynomial):
             def evaluate(self, params, r, out):
