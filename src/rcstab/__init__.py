@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .dynamics import (
     NodalDynamics,
     Polynomial,
-    RatioCandidates,
     ScaledTanh,
     Sigmoid,
-    ratio_candidates,
     with_param,
 )
 from .network import (
@@ -58,7 +56,6 @@ from .sweep import (
     SweepRecord,
     basin_map,
     boundary_curve,
-    realization_stats,
     run_sweep,
 )
 
@@ -66,10 +63,8 @@ __all__ = [
     # dynamics
     "NodalDynamics",
     "Polynomial",
-    "RatioCandidates",
     "ScaledTanh",
     "Sigmoid",
-    "ratio_candidates",
     "with_param",
     # network
     "ReservoirNetwork",
@@ -114,6 +109,5 @@ __all__ = [
     "SweepRecord",
     "basin_map",
     "boundary_curve",
-    "realization_stats",
     "run_sweep",
 ]

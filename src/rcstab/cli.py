@@ -271,6 +271,12 @@ def _build_sweep_config(cfg: dict, args) -> sweep.SweepConfig:
 def cmd_sweep(cfg: dict, out_dir: Path, args) -> int:
     with _config_values():
         config = _build_sweep_config(cfg, args)
+        boundary = cfg["sweep"].get("boundary")
+        if boundary:
+            if not isinstance(boundary, dict):
+                raise ConfigError(f"sweep.boundary must be an object, got {boundary!r}")
+            level = boundary.get("level", "global")
+            sweep.check_boundary(config, level)
     records = sweep.run_sweep(config)
     if args.format == "json":
         _write_json(
@@ -278,9 +284,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, args) -> int:
         )
     else:
         sweep.write_sweep_csv(records, out_dir / "sweep.csv")
-    boundary = (cfg.get("sweep") or {}).get("boundary")
     if boundary:
-        level = boundary.get("level", "global")
         points = sweep.boundary_curve(config, level)
         sweep.write_boundary_csv(points, out_dir / "boundary.csv")
     n_div = sum(1 for r in records if r.diverged)

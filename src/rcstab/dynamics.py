@@ -11,12 +11,13 @@ The stability bounds need the extrema of the ratio f(r)/r over intervals
 [-c, c].  Those extrema can only occur at four kinds of points: the two
 interval endpoints, the origin limit f'(0), and interior stationary points of
 the ratio, i.e. solutions of r*f'(r) - f(r) = 0 with r != 0.  This module
-enumerates all four candidate families.
+finds the stationary points; `stability.ShiftedDynamics.kpair` assembles the
+four candidate families into the bracket.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +68,9 @@ class NodalDynamics:
         """True when f(0) = 0, the precondition of the homogeneous analysis."""
         return abs(float(self.raw(np.float64(0.0)))) <= 1e-14
 
-    def interior_stationary_points(self, c: float) -> list[float]:
-        """Roots of r*f'(r) - f(r) = 0 in [-c, c] excluding the origin."""
+    def stationary_points(self) -> list[float]:
+        """The nonzero real roots of r*f'(r) - f(r) = 0, ascending: every
+        interior stationary point of f(r)/r, whatever the radius."""
         raise NotImplementedError
 
     def ratio_limits(self):
@@ -127,40 +129,28 @@ class Polynomial(NodalDynamics):
         """Coefficients (ascending) of h(r) where r*f'(r)-f(r) = r^2 h(r)."""
         return [(i - 1) * p for i, p in enumerate(self.coeffs, start=1)][1:]
 
-    def _stationary_roots_real(self):
+    def stationary_points(self):
         """All real roots of h, polished; [] when h is identically zero."""
         h = self._stationarity_coeffs()
-        while h and h[-1] == 0.0:
+        # Drop a leading coefficient that is zero or below 1e-300 of another:
+        # np.roots would overflow building its companion matrix, and the
+        # root such a term adds lies beyond 1e29 (for degree <= 10).
+        while h and abs(h[-1]) * 1e300 <= max(map(abs, h)):
             h.pop()
-        if not h or all(x == 0.0 for x in h):
+        if len(h) < 2:  # h constant, no roots
             return []
-        if len(h) == 1:
-            # h constant and nonzero: no roots
-            return []
-        roots = np.roots(h[::-1])
-        real = [float(z.real) for z in roots if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
-
-        def h_val(x):
-            acc = 0.0
-            for a in reversed(h):
-                acc = acc * x + a
-            return acc
-
-        def h_der(x):
-            acc = 0.0
-            for k, a in reversed(list(enumerate(h))):
-                if k == 0:
-                    continue
-                acc = acc * x + k * a
-            return acc
-
+        desc = h[::-1]
+        slope = np.polyder(desc)
         polished = []
-        for x in real:
-            for _ in range(8):
-                d = h_der(x)
+        for z in np.roots(desc):
+            if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+                continue
+            x = float(z.real)
+            for _ in range(8):  # Newton polish
+                d = float(np.polyval(slope, x))
                 if d == 0.0:
                     break
-                step = h_val(x) / d
+                step = float(np.polyval(desc, x)) / d
                 x -= step
                 if abs(step) <= _ROOT_TOL * max(1.0, abs(x)):
                     break
@@ -169,9 +159,6 @@ class Polynomial(NodalDynamics):
             ):
                 polished.append(x)
         return sorted(polished)
-
-    def interior_stationary_points(self, c):
-        return [r for r in self._stationary_roots_real() if -c <= r <= c]
 
     def ratio_limits(self):
         coeffs = list(self.coeffs)
@@ -186,7 +173,7 @@ class Polynomial(NodalDynamics):
         if d % 2 == 0:
             # the two endpoint chords diverge with opposite signs
             return (-np.inf, np.inf)
-        vals = [p1] + [float(self.raw(r) / r) for r in self._stationary_roots_real()]
+        vals = [p1] + [float(self.raw(r) / r) for r in self.stationary_points()]
         if coeffs[-1] > 0.0:
             return (min(vals), np.inf)
         return (-np.inf, max(vals))
@@ -221,7 +208,7 @@ class ScaledTanh(NodalDynamics):
         out = self.p1 * self.p2 * (1.0 - t * t)
         return out if out.ndim else float(out)
 
-    def interior_stationary_points(self, c):
+    def stationary_points(self):
         # u*sech^2(u) - tanh(u) is strictly negative for u > 0 (and odd), so
         # the stationarity equation has no nonzero real root.
         return []
@@ -265,8 +252,8 @@ class Sigmoid(NodalDynamics):
         out = self.p1 * self.p2 * s * (1.0 - s)
         return out if out.ndim else float(out)
 
-    def interior_stationary_points(self, c):
-        return _scan_stationary_points(self, [0.0], [0.0], [c])[0]
+    def stationary_points(self):
+        return shifted_stationary_points(self, [0.0], [0.0])[0]
 
     def to_config(self):
         return {"kind": "sigmoid", "p1": self.p1, "p2": self.p2}
@@ -274,27 +261,24 @@ class Sigmoid(NodalDynamics):
 
 def shifted_stationary_points(base: NodalDynamics, shifts, offsets) -> list[list[float]]:
     """Interior stationary points of every fbar(r) = base(r + shift) + offset,
-    one list per (shift, offset), each over the window beyond which its
-    stationarity function cannot change sign: |shift| + 80/|p2| for tanh and
-    sigmoid (|shift| + 1 when p2 vanishes), |shift| + 100 for polynomials."""
+    one ascending list per (shift, offset): the roots of r*fbar'(r) - fbar(r)
+    other than the origin.
+
+    Each is found by a sign-change scan and bisection over the window beyond
+    which its stationarity function cannot change sign: |shift| + 80/|p2|
+    for tanh and sigmoid (|shift| + 1 when p2 vanishes), |shift| + 100 for
+    polynomials.  The origin is always a (at least) double root of the
+    stationarity function for shifted kinds, so it produces no sign change
+    and is excluded naturally.  The sign flips of every scan are bisected
+    together as one array; each element sees the operations and stopping
+    rule of a scalar bisection.
+    """
     shifts = np.asarray(shifts, dtype=float)
     if isinstance(base, (ScaledTanh, Sigmoid)):
         p2 = abs(base.p2)
         reach = 1.0 if p2 < 1e-9 else 80.0 / p2
     else:
         reach = 100.0
-    return _scan_stationary_points(base, shifts, offsets, np.abs(shifts) + reach)
-
-
-def _scan_stationary_points(base: NodalDynamics, shifts, offsets, halfwidths) -> list[list[float]]:
-    """Sign-change scan + bisection for roots of r*fbar'(r) - fbar(r) on
-    [-c, c]\\{0}, with fbar(r) = base(r + shift) + offset, per (shift, offset, c).
-
-    The origin is always a (at least) double root of the stationarity function
-    for shifted kinds, so it produces no sign change and is excluded naturally.
-    The sign flips of every scan are bisected together as one array; each
-    element sees the operations and stopping rule of a scalar bisection.
-    """
 
     def g(r, shift, offset):
         x = r + shift
@@ -302,7 +286,7 @@ def _scan_stationary_points(base: NodalDynamics, shifts, offsets, halfwidths) ->
 
     per_scan = []  # (grid roots, index of the first flip, flip count)
     lo, hi, flo, shift_of, offset_of = [], [], [], [], []
-    for shift, offset, c in zip(shifts, offsets, halfwidths):
+    for shift, offset, c in zip(shifts, offsets, np.abs(shifts) + reach):
         grid = np.linspace(-c, c, _SCAN_POINTS + 1)
         grid = grid[np.abs(grid) > 1e-14 * max(1.0, c)]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -355,49 +339,6 @@ def _scan_stationary_points(base: NodalDynamics, shifts, offsets, halfwidths) ->
                 roots.append(r)
         found.append(sorted(roots))
     return found
-
-
-@dataclass(frozen=True)
-class RatioCandidates:
-    """The four candidate families for extrema of f(r)/r on [-c, c]."""
-
-    at_plus_c: float
-    at_minus_c: float
-    at_zero: float
-    interior: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-
-    def values(self) -> list[float]:
-        return [self.at_plus_c, self.at_minus_c, self.at_zero] + [
-            v for _, v in self.interior
-        ]
-
-    @property
-    def maximum(self) -> float:
-        return max(self.values())
-
-    @property
-    def minimum(self) -> float:
-        return min(self.values())
-
-
-def ratio_candidates(f: NodalDynamics, c: float) -> RatioCandidates:
-    """Enumerate every possible extremum of f(r)/r over [-c, c]."""
-    if not c > 0:
-        raise ValueError(f"radius must be positive, got {c}")
-    if not f.origin_fixed():
-        raise ValueError(
-            "ratio candidates require f(0) = 0; use the fixed-point shift "
-            "for dynamics that do not vanish at the origin"
-        )
-    c = float(c)
-    roots = f.interior_stationary_points(c)
-    interior = tuple((r, float(f.raw(r) / r)) for r in roots)
-    return RatioCandidates(
-        at_plus_c=float(f.raw(c) / c),
-        at_minus_c=float(f.raw(-c) / -c),
-        at_zero=float(f.derivative(0.0)),
-        interior=interior,
-    )
 
 
 _PARAM_KINDS = {"tanh": ScaledTanh, "sigmoid": Sigmoid}

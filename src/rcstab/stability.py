@@ -15,6 +15,7 @@ yields its own radius; the certified radius is the smaller one.
 Dynamics that do not vanish at the origin (the sigmoid) are first recentered
 on the reservoir's actual fixed point, which makes the per-node functions
 non-homogeneous; the brackets then aggregate per-node candidates by min/max.
+Every bracket, recentered or not, is formed by `ShiftedDynamics.kpair`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NodalDynamics, ratio_candidates, shifted_stationary_points
+from .dynamics import NodalDynamics, shifted_stationary_points
 from .errors import FixedPointError, InfeasibleTopologyError
 from .network import ReservoirNetwork, SpectralSummary, alpha_max, critical_shifts
 from .signals import rk4_steps
@@ -77,14 +78,13 @@ class StabilityReport:
 
 
 def kstar_continuous(f: NodalDynamics, c: float) -> float:
-    """Tightest K with r*f(r) <= K*r^2 on [-c, c]: the max ratio candidate."""
-    return ratio_candidates(f, c).maximum
+    """Tightest K with r*f(r) <= K*r^2 on [-c, c]: the bracket's upper end."""
+    return kstar_discrete(f, c)[1]
 
 
 def kstar_discrete(f: NodalDynamics, c: float) -> tuple[float, float]:
-    """Tightest bracket (K-, K+) of f(r)/r over [-c, c]."""
-    cands = ratio_candidates(f, c)
-    return (cands.minimum, cands.maximum)
+    """Tightest bracket (K-, K+) of f(r)/r over [-c, c]; f(0) must be 0."""
+    return _unshifted(f).kpair(c)
 
 
 def bisect_flip(pred, lo: float, hi: float, abs_tol: float, rel_tol: float = 0.0):
@@ -155,20 +155,19 @@ def cmax_continuous(f: NodalDynamics, alpha_max_value: float) -> StabilityReport
             kstar_at_cmax=sup,
             threshold=threshold,
         )
-    c_max, crossed = _largest_admissible(
-        lambda c: kstar_continuous(f, c) <= threshold
-    )
+    shifted = _unshifted(f)
+    c_max, crossed = _largest_admissible(lambda c: shifted.kpair(c)[1] <= threshold)
     if not crossed:
         return StabilityReport(
             regime=Regime.GLOBALLY_STABLE,
             c_max=math.inf,
-            kstar_at_cmax=kstar_continuous(f, c_max),
+            kstar_at_cmax=shifted.kpair(c_max)[1],
             threshold=threshold,
         )
     return StabilityReport(
         regime=Regime.FINITE_REGION,
         c_max=c_max,
-        kstar_at_cmax=kstar_continuous(f, c_max) if c_max > 0 else d0,
+        kstar_at_cmax=shifted.kpair(c_max)[1] if c_max > 0 else d0,
         threshold=threshold,
     )
 
@@ -179,8 +178,10 @@ class ShiftedDynamics:
     Node i sees fbar_i(r) = f(r + q*_i) + offset_i with
     offset_i = (A q*)_i - q*_i, which vanishes at r = 0 up to the fixed-point
     residual.  Interior stationary candidates are independent of the query
-    radius, so they are located once over each node's full scan window and
-    filtered per call.
+    radius, so they are located once, at construction, and filtered per
+    call: a homogeneous view (f(0) = 0, q* = 0 and no offsets) takes the
+    kind's own `stationary_points`, any other view scans each node's full
+    window.
     """
 
     def __init__(self, base: NodalDynamics, q_star, offsets):
@@ -194,17 +195,18 @@ class ShiftedDynamics:
             and np.all(self.q_star == 0.0)
             and np.all(self.offsets == 0.0)
         )
+        # fbar(r) = f(r + q*) - (0 - offset): subtracting a zero keeps the
+        # sign of a zero f(r), where adding one would turn -0.0 into 0.0
+        self._neg_offsets = 0.0 - self.offsets
         self.deriv0 = base.derivative(self.q_star)
         if self.homogeneous:
-            self._roots = None
-            self._root_values = None
+            found = [base.stationary_points()] * self.m
         else:
             found = shifted_stationary_points(base, self.q_star, self.offsets)
-            node = np.repeat(np.arange(self.m), [len(rs) for rs in found])
-            self._roots = np.array([r for rs in found for r in rs])
-            self._root_values = (
-                base.raw(self._roots + self.q_star[node]) + self.offsets[node]
-            ) / self._roots
+        node = np.repeat(np.arange(self.m), [len(rs) for rs in found])
+        self._roots = np.array([r for rs in found for r in rs])
+        with np.errstate(over="ignore", invalid="ignore"):  # far roots may overflow
+            self._root_values = self._fbar(self._roots, node) / self._roots
 
     @property
     def m(self) -> int:
@@ -215,22 +217,24 @@ class ShiftedDynamics:
         q = self.q_star
         return float(np.max(np.abs(f.raw(q) + network.a @ q - q)))
 
+    def _fbar(self, r, node=slice(None)):
+        """fbar_i(r) for the given nodes, every node by default."""
+        return self.base.raw(r + self.q_star[node]) - self._neg_offsets[node]
+
     def kpair(self, c: float) -> tuple[float, float]:
-        """Aggregated bracket (min_i K_i-, max_i K_i+) at radius c."""
+        """Aggregated bracket (min_i K_i-, max_i K_i+) at radius c, from the
+        four candidate families of every node: the chords at +c and -c, the
+        slope fbar_i'(0) and the stationary points inside [-c, c]."""
         if not c > 0:
             raise ValueError(f"radius must be positive, got {c}")
-        if self.homogeneous:
-            return kstar_discrete(self.base, c)
         c = float(c)
-        chord_plus = (self.base.raw(c + self.q_star) + self.offsets) / c
-        chord_minus = (self.base.raw(-c + self.q_star) + self.offsets) / -c
-        values = [chord_plus, chord_minus, self.deriv0]
-        if self._roots.size:
-            inside = np.abs(self._roots) <= c
-            if np.any(inside):
-                values.append(self._root_values[inside])
-        stacked = np.concatenate([np.atleast_1d(v) for v in values])
-        return (float(stacked.min()), float(stacked.max()))
+        inside = self._root_values[np.abs(self._roots) <= c]
+        stacked = np.concatenate(
+            [self._fbar(c) / c, self._fbar(-c) / -c, self.deriv0, inside]
+        )
+        # argmin and argmax take the first of tied candidates, so a zero end
+        # has the sign of the first zero candidate, not that of the last
+        return (float(stacked[stacked.argmin()]), float(stacked[stacked.argmax()]))
 
     def ratio_limits(self):
         if self.homogeneous:
@@ -240,6 +244,16 @@ class ShiftedDynamics:
             vals.append(float(self._root_values.min()))
             vals.append(float(self._root_values.max()))
         return (min(vals), max(vals))
+
+
+def _unshifted(f: NodalDynamics) -> ShiftedDynamics:
+    """The one-node view of f about the origin, which must be its fixed point."""
+    if not f.origin_fixed():
+        raise ValueError(
+            "dynamics with f(0) != 0 must be recentered via fixed_point()"
+        )
+    zero = np.zeros(1)
+    return ShiftedDynamics(f, zero, zero)
 
 
 def fixed_point(
@@ -325,14 +339,7 @@ def cmax_discrete(
         raise InfeasibleTopologyError(
             f"empty admissible shift interval [{rho_m:.6g}, {rho_p:.6g}]"
         )
-    if isinstance(dyn, ShiftedDynamics):
-        shifted = dyn
-    else:
-        if not dyn.origin_fixed():
-            raise ValueError(
-                "dynamics with f(0) != 0 must be recentered via fixed_point()"
-            )
-        shifted = ShiftedDynamics(dyn, np.zeros(1), np.zeros(1))
+    shifted = dyn if isinstance(dyn, ShiftedDynamics) else _unshifted(dyn)
     d0_min = float(shifted.deriv0.min())
     d0_max = float(shifted.deriv0.max())
     threshold = (rho_m, rho_p)

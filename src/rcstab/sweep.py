@@ -1,5 +1,5 @@
 """Parameter-grid experiments: stability maps, training-error maps, boundary
-curves, box-plot statistics, and two-node basin maps.
+curves, and two-node basin maps.
 
 The cells of one realization are trained SLOTS at a time, as rows of one
 state, by `reservoir.train`, the pipeline the train command uses for its one
@@ -164,6 +164,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     return [records[key] for key in sorted(records)]
 
 
+def check_boundary(config: SweepConfig, level) -> None:
+    """Raise ConfigError unless `boundary_curve(config, level)` is defined:
+    a continuous sweep, and a level that is "global" or a finite positive
+    radius (a bool is not a radius)."""
+    if config.time_kind != "continuous":
+        raise ConfigError("boundary curves are defined for continuous sweeps")
+    radius = isinstance(level, (int, float)) and not isinstance(level, bool)
+    if level != "global" and not (radius and math.isfinite(level) and level > 0):
+        raise ConfigError(
+            f"level must be 'global' or a finite positive radius, got {level!r}"
+        )
+
+
 def boundary_curve(
     config: SweepConfig, level="global", alpha_max_value: float | None = None
 ) -> list[tuple[float, float]]:
@@ -177,10 +190,7 @@ def boundary_curve(
     crossings are flagged with a warning and the first crossing is kept.
     x values whose criterion never crosses are omitted.
     """
-    if config.time_kind != "continuous":
-        raise ConfigError("boundary curves are defined for continuous sweeps")
-    if level != "global" and not (isinstance(level, (int, float)) and level > 0):
-        raise ConfigError(f"level must be 'global' or a positive radius, got {level!r}")
+    check_boundary(config, level)
     if alpha_max_value is None:
         net = construct_adjacency(
             config.m,
@@ -230,66 +240,6 @@ def boundary_curve(
         )
         points.append((float(x), 0.5 * (y_lo + y_hi)))
     return points
-
-
-def _quantile_sorted(values: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted array."""
-    n = values.shape[0]
-    if n == 1:
-        return float(values[0])
-    pos = (n - 1) * q
-    lo = int(math.floor(pos))
-    frac = pos - lo
-    if lo + 1 >= n:
-        return float(values[-1])
-    return float(values[lo] * (1.0 - frac) + values[lo + 1] * frac)
-
-
-def realization_stats(records: list[SweepRecord], group_by: str = "x") -> list[dict]:
-    """Five-number summaries of delta_rc per axis value.
-
-    Diverged runs are counted separately and excluded from the quantiles;
-    error cells are excluded entirely.  Whiskers follow the Tukey rule
-    (furthest points within 1.5 IQR of the quartile).
-    """
-    if group_by not in ("x", "y"):
-        raise ConfigError(f"group_by must be 'x' or 'y', got {group_by!r}")
-    groups: dict[float, list[SweepRecord]] = {}
-    for rec in records:
-        groups.setdefault(getattr(rec, group_by), []).append(rec)
-    out = []
-    for axis_value in sorted(groups):
-        recs = [r for r in groups[axis_value] if r.regime != "error"]
-        if not recs:
-            continue
-        n_div = sum(1 for r in recs if r.diverged)
-        vals = np.sort(
-            np.array([r.delta_rc for r in recs if not r.diverged], dtype=float)
-        )
-        entry = {
-            "axis_value": float(axis_value),
-            "n": len(recs),
-            "n_diverged": n_div,
-            "median": None,
-            "q1": None,
-            "q3": None,
-            "whisker_low": None,
-            "whisker_high": None,
-        }
-        if vals.size:
-            q1 = _quantile_sorted(vals, 0.25)
-            q3 = _quantile_sorted(vals, 0.75)
-            iqr = q3 - q1
-            inside = vals[(vals >= q1 - 1.5 * iqr) & (vals <= q3 + 1.5 * iqr)]
-            entry.update(
-                median=_quantile_sorted(vals, 0.5),
-                q1=q1,
-                q3=q3,
-                whisker_low=float(inside[0]),
-                whisker_high=float(inside[-1]),
-            )
-        out.append(entry)
-    return out
 
 
 @dataclass(frozen=True)

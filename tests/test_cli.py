@@ -193,6 +193,41 @@ class TestSweepCommand:
         assert len(payload["records"]) == 4
 
 
+def smoke_sweep_with(boundary, time_kind="continuous"):
+    cfg = json.loads((CONFIGS / "smoke_sweep.json").read_text())
+    cfg["sweep"]["boundary"] = boundary
+    cfg["runtime"]["time_kind"] = time_kind
+    return cfg
+
+
+class TestBoundarySettings:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            smoke_sweep_with({"level": -1.0}),
+            smoke_sweep_with({"level": "local"}),
+            smoke_sweep_with({"level": float("inf")}),  # written as Infinity
+            smoke_sweep_with({"level": True}),  # a bool is not radius 1
+            smoke_sweep_with({"level": "global"}, time_kind="discrete"),
+            smoke_sweep_with(["global"]),
+        ],
+        ids=["negative", "unknown", "infinity", "bool", "discrete", "not-an-object"],
+    )
+    def test_bad_boundary_exits_2_before_the_sweep(self, tmp_path, capsys, cfg):
+        rcode = main(["sweep", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out")])
+        assert rcode == 2
+        assert "config error" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_numeric_level_writes_boundary(self, tmp_path):
+        cfg = smoke_sweep_with({"level": 1})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "boundary.csv").read_text().strip().split("\n")
+        assert lines[0] == "x,y"
+
+
 class TestBasinCommand:
     def test_tiny_window(self, tmp_path):
         cfg = {

@@ -1,4 +1,4 @@
-"""Nodal dynamics family and the ratio-candidate machinery."""
+"""Nodal dynamics family, its stationary points and the K* bracket they feed."""
 
 import math
 
@@ -10,12 +10,11 @@ from rcstab.dynamics import (
     ScaledTanh,
     Sigmoid,
     from_config,
-    ratio_candidates,
     shifted_stationary_points,
     with_param,
 )
 from rcstab.network import construct_adjacency
-from rcstab.stability import ShiftedDynamics, fixed_point
+from rcstab.stability import ShiftedDynamics, fixed_point, kstar_continuous, kstar_discrete
 
 CUBIC = Polynomial((-3.0, 4.0, -1.0))
 
@@ -140,7 +139,7 @@ class TestDerivative:
 
 class TestStationarityRoots:
     def test_cubic_interior_root(self):
-        roots = CUBIC.interior_stationary_points(3.0)
+        roots = CUBIC.stationary_points()
         assert len(roots) == 1
         # closed form -p2/(2 p3)
         assert abs(roots[0] - 2.0) <= 1e-10
@@ -149,13 +148,15 @@ class TestStationarityRoots:
         assert abs(resid) <= 1e-9 * max(1.0, abs(float(CUBIC.raw(r))))
 
     def test_cubic_root_outside_small_interval(self):
-        assert CUBIC.interior_stationary_points(1.0) == []
+        # the root at r = 2 carries the ratio's maximum 1.0; below c = 2 it
+        # is no candidate and the chord at +c binds
+        assert kstar_continuous(CUBIC, 1.9) == float(CUBIC.raw(1.9) / 1.9) < 1.0
 
     def test_linear_degenerate(self):
-        assert Polynomial((-3.0,)).interior_stationary_points(5.0) == []
+        assert Polynomial((-3.0,)).stationary_points() == []
 
     def test_tanh_has_none(self):
-        assert ScaledTanh(-2.0, 0.5).interior_stationary_points(4.0) == []
+        assert ScaledTanh(-2.0, 0.5).stationary_points() == []
 
     def test_tanh_none_by_brute_force(self):
         # independent oracle: scan the stationarity function on a dense grid,
@@ -168,13 +169,22 @@ class TestStationarityRoots:
 
     def test_quintic_roots_verified(self):
         f = Polynomial((-1.0, 2.0, 0.5, -0.3, -0.2))
-        for r in f.interior_stationary_points(10.0):
+        roots = f.stationary_points()
+        assert roots
+        for r in roots:
             resid = r * f.derivative(r) - float(f.raw(r))
             assert abs(resid) <= 1e-9 * max(1.0, abs(float(f.raw(r))))
 
+    def test_negligible_leading_coefficient(self):
+        # h(r) = 1 + 4.45e-313 r: np.roots' companion matrix would hold -inf;
+        # the root near -2e312 is dropped and the bracket stays finite
+        f = Polynomial((0.0, 1.0, 2.2250738585e-313))
+        assert f.stationary_points() == []
+        assert kstar_discrete(f, 1.0) == (-1.0, 1.0)
+
     def test_flat_sigmoid_has_none(self):
         # p1 = 0 makes r*f'(r) - f(r) vanish identically: no grid point is a root
-        assert Sigmoid(0.0, 0.5).interior_stationary_points(10.0) == []
+        assert Sigmoid(0.0, 0.5).stationary_points() == []
 
 
 def reference_halfwidth(base, q):
@@ -273,35 +283,33 @@ class TestBatchedStationaryPoints:
     def test_flat_sigmoid(self):
         base = Sigmoid(0.0, 0.5)
         assert self.check(base, [0.3, -1.2], [0.0, 0.0]) == [[], []]
-        assert base.interior_stationary_points(10.0) == reference_scan(base, 0.0, 0.0, 10.0) == []
+        window = reference_halfwidth(base, 0.0)
+        assert base.stationary_points() == reference_scan(base, 0.0, 0.0, window) == []
 
 
 class TestRatioCandidates:
+    """The K* bracket is the min and max of four candidate families: the
+    chords at +c and -c, f'(0), and f(r)/r at the stationary points inside
+    [-c, c]."""
+
     def test_cubic_small_interval(self):
-        cands = ratio_candidates(CUBIC, 1.0)
-        assert cands.at_plus_c == 0.0
-        assert cands.at_minus_c == -8.0
-        assert cands.at_zero == -3.0
-        assert cands.interior == ()
+        # chords 0 at +1 and -8 at -1, f'(0) = -3, no stationary point inside
+        assert kstar_discrete(CUBIC, 1.0) == (-8.0, 0.0)
 
     def test_cubic_interior_active(self):
-        cands = ratio_candidates(CUBIC, 3.0)
-        (r_star, value), = cands.interior
-        assert abs(r_star - 2.0) <= 1e-10
-        # p1 - p2^2/(4 p3)
-        assert abs(value - 1.0) <= 1e-10
+        km, kp = kstar_discrete(CUBIC, 3.0)
+        assert km == -24.0  # the chord at -3
+        # p1 - p2^2/(4 p3), taken at the stationary point r = 2
+        assert abs(kp - 1.0) <= 1e-10
 
     def test_tanh_candidates(self):
-        cands = ratio_candidates(ScaledTanh(-2.0, 0.5), 1.0)
-        expected = -2.0 * math.tanh(0.5)
-        assert abs(cands.at_plus_c - expected) <= 1e-12
-        assert cands.at_plus_c == cands.at_minus_c
-        assert cands.at_zero == -1.0
-        assert cands.interior == ()
+        km, kp = kstar_discrete(ScaledTanh(-2.0, 0.5), 1.0)
+        assert km == -1.0  # f'(0)
+        assert abs(kp - (-2.0 * math.tanh(0.5))) <= 1e-12
 
     def test_sigmoid_rejected_without_shift(self):
         with pytest.raises(ValueError):
-            ratio_candidates(Sigmoid(1.0, 1.0), 1.0)
+            kstar_discrete(Sigmoid(1.0, 1.0), 1.0)
 
     @pytest.mark.parametrize(
         "f",
@@ -314,18 +322,25 @@ class TestRatioCandidates:
     )
     @pytest.mark.parametrize("c", [0.3, 1.0, 4.7])
     def test_candidates_bound_the_ratio(self, f, c):
-        cands = ratio_candidates(f, c)
+        km, kp = kstar_discrete(f, c)
         r = np.linspace(-c, c, 10_001)
         r = r[np.abs(r) > 1e-9]
         ratio = f.raw(r) / r
-        assert np.max(ratio) <= cands.maximum + 1e-9
-        assert np.min(ratio) >= cands.minimum - 1e-9
+        assert np.max(ratio) <= kp + 1e-9
+        assert np.min(ratio) >= km - 1e-9
 
     def test_odd_polynomial_symmetry(self):
+        # f(r)/r is even for an odd f: its stationary points come in +-
+        # pairs and the chord at -c repeats the one at +c, so the half-line
+        # candidates alone give the bracket
         f = Polynomial((-1.5, 0.0, 0.25, 0.0, -2.0))
+        roots = f.stationary_points()
+        assert len(roots) == 2
+        assert np.allclose(roots, [-r for r in reversed(roots)], rtol=0.0, atol=1e-12)
         for c in (0.5, 1.0, 3.75):
-            cands = ratio_candidates(f, c)
-            assert cands.at_plus_c == cands.at_minus_c
+            half = [float(f.raw(c) / c), f.derivative(0.0)]
+            half += [float(f.raw(r) / r) for r in roots if 0.0 < r <= c]
+            assert kstar_discrete(f, c) == (min(half), max(half))
 
 
 class TestRatioLimits:

@@ -1,9 +1,11 @@
 """Region analysis: K* solvers, c_max classification, fixed-point shift,
 basin verification."""
 
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +129,65 @@ class TestKstarDiscrete:
         assert np.max(ratio) <= kp + 1e-9
 
 
+def reference_bracket(f, c):
+    """The bracket as the standalone candidate enumeration formed it: Python's
+    min and max, the first of tied values winning, over f(c)/c, f(-c)/-c,
+    f'(0) and f(r)/r at each of the kind's stationary points in [-c, c]."""
+    c = float(c)
+    values = [float(f.raw(c) / c), float(f.raw(-c) / -c), float(f.derivative(0.0))]
+    values += [float(f.raw(r) / r) for r in f.stationary_points() if -c <= r <= c]
+    return (min(values), max(values))
+
+
+def shipped_grid(name):
+    """Every cell dynamics of a shipped sweep config."""
+    cfg = json.loads((Path(__file__).parent.parent / "configs" / name).read_text())
+    template = rc.Polynomial(tuple(cfg["dynamics"]["coefficients"]))
+    ax, ay = cfg["sweep"]["axis_x"], cfg["sweep"]["axis_y"]
+    return [
+        rc.with_param(rc.with_param(template, ax["param"], x), ay["param"], y)
+        for x in np.linspace(ax["min"], ax["max"], ax["steps"])
+        for y in np.linspace(ay["min"], ay["max"], ay["steps"])
+    ]
+
+
+class TestKstarReference:
+    """kstar_discrete and kstar_continuous equal the reference bracket bit
+    for bit, the sign of a zero included."""
+
+    @staticmethod
+    def check(f, c):
+        expected = [x.hex() for x in reference_bracket(f, c)]
+        assert [x.hex() for x in rc.kstar_discrete(f, c)] == expected
+        assert rc.kstar_continuous(f, c).hex() == expected[1]
+
+    @pytest.mark.parametrize("name", ["cubic_sweep.json", "quartic_sweep.json"])
+    def test_shipped_grids(self, name):
+        cells = shipped_grid(name)
+        assert len(cells) == 441
+        for f in cells + [rc.Polynomial((-3.0, -6.0, -3.0))]:
+            for c in (0.1, 1.0, 3.7):
+                self.check(f, c)
+
+    def test_zero_end_keeps_its_sign(self):
+        # f(-1) = -0.0, so the chord at -1 and the stationary point r = -1
+        # both give +0.0; adding a zero offset would turn them into -0.0
+        f = rc.Polynomial((-3.0, -6.0, -3.0))
+        assert [x.hex() for x in rc.kstar_discrete(f, 1.0)] == [(-12.0).hex(), (0.0).hex()]
+
+    @pytest.mark.parametrize("p1", [-6.0, -2.0, 0.0, 2.5])
+    @pytest.mark.parametrize("p2", [0.25, 1.2])
+    def test_tanh_cells(self, p1, p2):
+        for c in (0.1, 1.0, 3.7):
+            self.check(rc.ScaledTanh(p1, p2), c)
+
+    @pytest.mark.parametrize("p2", [0.5, -0.5])
+    def test_flat_sigmoid_cells(self, p2):
+        # f = 0: the chords and f'(0) tie at zeros of both signs
+        for c in (0.1, 1.0, 1e6):
+            self.check(rc.Sigmoid(0.0, p2), c)
+
+
 def _spectral_with_rho(rho: float):
     """Spectral summary of the 1x1 zero matrix scaled: rho = +-1 for [[0]];
     use a real eigenvalue pair to pin rho at the wanted value."""
@@ -208,10 +269,10 @@ class TestFixedPoint:
 
 class TestNonHomogeneous:
     def test_homogeneous_reduction(self):
-        f = rc.ScaledTanh(-2.0, 0.5)
-        shifted = ShiftedDynamics(f, np.zeros(4), np.zeros(4))
-        for c in (0.3, 1.0, 4.0):
-            assert shifted.kpair(c) == rc.kstar_discrete(f, c)
+        for f in (rc.ScaledTanh(-2.0, 0.5), CUBIC):
+            shifted = ShiftedDynamics(f, np.zeros(4), np.zeros(4))
+            for c in (0.3, 1.0, 4.0):
+                assert shifted.kpair(c) == rc.kstar_discrete(f, c) == reference_bracket(f, c)
 
     def test_single_node_sigmoid_worked_example(self):
         # q* solves q = 1/(1 + e^(-2q)); scalar oracle via bisection

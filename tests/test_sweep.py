@@ -1,4 +1,4 @@
-"""Grid experiments: records, boundary curves, statistics, basin maps."""
+"""Grid experiments: records, boundary curves, basin maps."""
 
 import math
 import tracemalloc
@@ -17,7 +17,6 @@ from rcstab.sweep import (
     SweepRecord,
     basin_map,
     boundary_curve,
-    realization_stats,
     run_sweep,
     write_sweep_csv,
 )
@@ -225,46 +224,10 @@ class TestBoundaryCurve:
         with pytest.raises(ConfigError):
             boundary_curve(cfg, "global")
 
-
-def _rec(x, value, diverged=False, realization=0):
-    return SweepRecord(
-        x=x, y=0.0, realization=realization, regime="globally_stable",
-        c_max=math.inf, delta_rc=value, diverged=diverged, seed=realization,
-    )
-
-
-class TestRealizationStats:
-    def test_identical_values(self):
-        records = [_rec(1.0, 0.25, realization=k) for k in range(5)]
-        (entry,) = realization_stats(records, "x")
-        assert entry["median"] == entry["q1"] == entry["q3"] == 0.25
-
-    def test_against_percentile_oracle(self):
-        rng = np.random.default_rng(9)
-        values = rng.uniform(0, 1, size=100)
-        records = [_rec(2.0, v, realization=i) for i, v in enumerate(values)]
-        (entry,) = realization_stats(records, "x")
-        assert entry["median"] == pytest.approx(np.percentile(values, 50), abs=1e-12)
-        assert entry["q1"] == pytest.approx(np.percentile(values, 25), abs=1e-12)
-        assert entry["q3"] == pytest.approx(np.percentile(values, 75), abs=1e-12)
-
-    def test_all_diverged_group(self):
-        records = [_rec(3.0, math.nan, diverged=True, realization=k) for k in range(4)]
-        (entry,) = realization_stats(records, "x")
-        assert entry["n_diverged"] == 4
-        assert entry["median"] is None
-
-    def test_diverged_excluded_from_quantiles(self):
-        records = [_rec(1.0, 0.2), _rec(1.0, 0.4, realization=1)]
-        records.append(_rec(1.0, math.nan, diverged=True, realization=2))
-        (entry,) = realization_stats(records, "x")
-        assert entry["median"] == pytest.approx(0.3)
-        assert entry["n_diverged"] == 1
-
-    def test_groups_sorted_by_axis(self):
-        records = [_rec(2.0, 0.1), _rec(-1.0, 0.2), _rec(0.5, 0.3)]
-        entries = realization_stats(records, "x")
-        assert [e["axis_value"] for e in entries] == [-1.0, 0.5, 2.0]
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan, True, "local", None])
+    def test_bad_level_rejected(self, level):
+        with pytest.raises(ConfigError):
+            boundary_curve(small_config(), level, alpha_max_value=0.5)
 
 
 class TestBasinMap:
