@@ -126,17 +126,18 @@ class Polynomial(NodalDynamics):
         return acc if acc.ndim else float(acc)
 
     def _stationarity_coeffs(self):
-        """Coefficients (ascending) of h(r) where r*f'(r)-f(r) = r^2 h(r)."""
-        return [(i - 1) * p for i, p in enumerate(self.coeffs, start=1)][1:]
+        """Coefficients (ascending) of h(r) where r*f'(r)-f(r) = r^2 h(r),
+        less every leading coefficient that is zero or below 1e-300 of
+        another: np.roots would overflow building its companion matrix, and
+        the root such a term adds lies beyond 1e29 (for degree <= 10)."""
+        h = [(i - 1) * p for i, p in enumerate(self.coeffs, start=1)][1:]
+        while h and abs(h[-1]) * 1e300 <= max(map(abs, h)):
+            h.pop()
+        return h
 
     def stationary_points(self):
         """All real roots of h, polished; [] when h is identically zero."""
         h = self._stationarity_coeffs()
-        # Drop a leading coefficient that is zero or below 1e-300 of another:
-        # np.roots would overflow building its companion matrix, and the
-        # root such a term adds lies beyond 1e29 (for degree <= 10).
-        while h and abs(h[-1]) * 1e300 <= max(map(abs, h)):
-            h.pop()
         if len(h) < 2:  # h constant, no roots
             return []
         desc = h[::-1]
@@ -170,8 +171,9 @@ class Polynomial(NodalDynamics):
         p1 = coeffs[0]
         if d == 1:
             return (p1, p1)
-        if d % 2 == 0:
-            # the two endpoint chords diverge with opposite signs
+        if d % 2 == 0 or len(self._stationarity_coeffs()) < d - 1:
+            # the two endpoint chords diverge with opposite signs, or h lost a
+            # nonzero term whose root's ratio value lies beyond float range
             return (-np.inf, np.inf)
         vals = [p1] + [float(self.raw(r) / r) for r in self.stationary_points()]
         if coeffs[-1] > 0.0:

@@ -12,6 +12,7 @@ y, then realization).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -171,7 +172,8 @@ def check_boundary(config: SweepConfig, level) -> None:
     if config.time_kind != "continuous":
         raise ConfigError("boundary curves are defined for continuous sweeps")
     radius = isinstance(level, (int, float)) and not isinstance(level, bool)
-    if level != "global" and not (radius and math.isfinite(level) and level > 0):
+    # compared, not converted: an integer beyond float range fails float()
+    if level != "global" and not (radius and 0 < level <= sys.float_info.max):
         raise ConfigError(
             f"level must be 'global' or a finite positive radius, got {level!r}"
         )

@@ -208,10 +208,12 @@ class TestBoundarySettings:
             smoke_sweep_with({"level": "local"}),
             smoke_sweep_with({"level": float("inf")}),  # written as Infinity
             smoke_sweep_with({"level": True}),  # a bool is not radius 1
+            smoke_sweep_with({"level": 10**400}),  # an integer beyond float range
             smoke_sweep_with({"level": "global"}, time_kind="discrete"),
             smoke_sweep_with(["global"]),
         ],
-        ids=["negative", "unknown", "infinity", "bool", "discrete", "not-an-object"],
+        ids=["negative", "unknown", "infinity", "bool", "beyond-float", "discrete",
+             "not-an-object"],
     )
     def test_bad_boundary_exits_2_before_the_sweep(self, tmp_path, capsys, cfg):
         rcode = main(["sweep", "--config", write_config(tmp_path, cfg),

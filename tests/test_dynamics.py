@@ -362,6 +362,12 @@ class TestRatioLimits:
         # global min of the ratio at r = -p2/(2 p3) = -2: -3 - 16/4 = -7
         assert abs(lo - (-7.0)) <= 1e-10
 
+    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 2.2250738585e-313), (-1.0, 1.0, -1e-305)])
+    def test_negligible_leading_coefficient_unbounded(self, coeffs):
+        # the stationary value of the far root lies beyond float range, so
+        # neither limit may be taken from the remaining roots
+        assert Polynomial(coeffs).ratio_limits() == (-math.inf, math.inf)
+
     def test_tanh(self):
         assert ScaledTanh(-2.0, 0.5).ratio_limits() == (-1.0, 0.0)
         assert ScaledTanh(2.0, 0.5).ratio_limits() == (0.0, 1.0)

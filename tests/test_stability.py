@@ -77,6 +77,13 @@ class TestCmaxContinuous:
         assert report.regime is Regime.FINITE_REGION
         assert 0.0 < report.c_max < math.inf
 
+    def test_negligible_leading_term_not_global(self):
+        # f(r)/r = -1 + r - 1e-305 r^2 <= -0.5 exactly for r <= 0.5 near the
+        # origin; its far maximum must not be lost with the cut root
+        report = rc.cmax_continuous(rc.Polynomial((-1.0, 1.0, -1e-305)), 0.5)
+        assert report.regime is Regime.FINITE_REGION
+        assert abs(report.c_max - 0.5) <= 1e-6
+
     def test_tanh_negative_gain_always_certified(self):
         report = rc.cmax_continuous(rc.ScaledTanh(-2.0, 0.5), 0.0)
         # K*(c) < 0 for every finite c, so no finite boundary exists
