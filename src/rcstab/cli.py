@@ -48,17 +48,28 @@ _NUMERICAL_ERRORS = (
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
+    return cfg
 
 
 def _section(cfg: dict, name: str) -> dict:
     block = cfg.get(name)
     if not isinstance(block, dict):
         raise ConfigError(f"config is missing the required {name!r} section")
+    return block
+
+
+def _optional_section(cfg: dict, name: str) -> dict:
+    """The config's `name` section, or {} when the key is absent."""
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config section {name!r} must be an object, got {block!r}")
     return block
 
 
@@ -101,7 +112,7 @@ def _build_network(cfg: dict, seed_override=None) -> ReservoirNetwork:
 
 
 def _build_signal(cfg: dict) -> SignalSpec:
-    sig = cfg.get("signal") or {}
+    sig = _optional_section(cfg, "signal")
     return SignalSpec(
         source=sig.get("source", "lorenz"),
         input_component=sig.get("input_component", "x"),
@@ -114,7 +125,7 @@ def _build_signal(cfg: dict) -> SignalSpec:
 
 
 def _runtime(cfg: dict) -> reservoir.RuntimeParams:
-    rt = cfg.get("runtime") or {}
+    rt = _optional_section(cfg, "runtime")
     return reservoir.RuntimeParams(
         transient=int(rt.get("transient", 2000)),
         n_keep=int(rt.get("n_keep", 10000)),
@@ -123,7 +134,7 @@ def _runtime(cfg: dict) -> reservoir.RuntimeParams:
 
 
 def _time_kind(cfg: dict) -> str:
-    kind = (cfg.get("runtime") or {}).get("time_kind", "continuous")
+    kind = _optional_section(cfg, "runtime").get("time_kind", "continuous")
     if kind not in ("continuous", "discrete"):
         raise ConfigError(f"runtime.time_kind must be continuous or discrete: {kind!r}")
     return kind
@@ -298,7 +309,7 @@ def cmd_basin(cfg: dict, out_dir: Path, args) -> int:
     with _config_values():
         f = _build_dynamics(cfg)
         net = _build_network(cfg, args.seed)
-        basin_cfg = cfg.get("basin") or {}
+        basin_cfg = _optional_section(cfg, "basin")
         (r1_lo, r1_hi), (r2_lo, r2_hi) = basin_cfg.get("window", [[-4.0, 4.0], [-4.0, 4.0]])
         options = dict(
             window=((float(r1_lo), float(r1_hi)), (float(r2_lo), float(r2_hi))),

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +37,16 @@ _CMAX_START = 1e-3
 #: final-state norm below which an unforced trajectory counts as converged
 CONVERGED_NORM = 1e-4
 #: state elements (rows * m) per row block of `simulate_unforced`, which cuts
-#: a batch into max(1, rows * m // SPLIT_ELEMENTS) blocks.  Measured on 2
-#: cores at m = 2, t = 20, one block against two blocks on two threads
-#: (median of 3, OPENBLAS_NUM_THREADS=1): 40,000 rows took 1.70 s against
-#: 0.98 s and 30,000 rows 1.26 s against 0.89 s, at 6-22% more CPU; 20,000
-#: rows 0.79 s against 0.89 s and 10,000 rows 0.39 s against 0.68 s, the
-#: threads waiting on the interpreter lock between numpy calls on small
-#: blocks.  So the crossover lies between 20,000 and 30,000 rows.
+#: a batch into max(1, rows * m // SPLIT_ELEMENTS) blocks and steps them one
+#: after another.  Measured on one 2-core machine on the basin's 40,000 rows
+#: at m = 2, t = 50, with settled rows retired (3 runs each,
+#: OPENBLAS_NUM_THREADS=1): one block took 1.93-2.10 s at 38.9 MB peak RSS,
+#: two blocks 1.78-2.18 s at 35.2 MB, four 2.07-2.35 s at 33.5 MB and eight
+#: 2.14-2.64 s at 32.6 MB.  So two blocks are as fast as one and 3.6 MB
+#: smaller.
 SPLIT_ELEMENTS = 30_000
+#: steps between two checks of `simulate_unforced` for settled rows
+SETTLE_CHECK = 64
 
 
 class Regime(str, enum.Enum):
@@ -413,65 +413,66 @@ def simulate_unforced(
 
     Rows are independent systems.  The batch is cut into
     max(1, rows * m // SPLIT_ELEMENTS) contiguous row blocks, a number fixed
-    by the batch's shape, and the blocks are stepped on one thread per
-    available core, at most one per block, thread i taking blocks i,
-    i + workers, ...  A block's coupling product is one BLAS call on a
-    C-contiguous copy of A transposed, whose bits at m > 2 may depend on the
-    block's height; since the blocks never depend on the core count, neither
-    does the result.
+    by the batch's shape, and `_integrate` steps the blocks one after
+    another on the calling thread, retiring rows that have settled.  A
+    block's coupling product is one BLAS call on a C-contiguous copy of A
+    transposed.  With OpenBLAS at m = 2 and 3 its bits do not depend on the
+    block's height; at m >= 5 they can, so retiring rows may move the other
+    rows of a block by ulps.
     """
     steps = step_count(t_final, dt)
     r = np.array(np.atleast_2d(initials), dtype=float)
     a_t = np.ascontiguousarray(network.a.T)
-    blocks = np.array_split(r, max(1, r.size // SPLIT_ELEMENTS))
-    workers = min(_cores(), len(blocks))
-    errors = []
-
-    def work(share):
-        try:
-            for rows in share:
-                _integrate(a_t, f, rows, steps, dt)
-        except BaseException as exc:  # raised again in the caller below
-            errors.append(exc)
-
-    if workers == 1:
-        work(blocks)
-    else:
-        threads = [
-            threading.Thread(target=work, args=(blocks[i::workers],))
-            for i in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for rows in np.array_split(r, max(1, r.size // SPLIT_ELEMENTS)):
+        _integrate(a_t, f, rows, steps, dt)
     return r
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float) -> None:
     """Advance rows, a block of unforced states, in place by `steps` RK4
     steps of r' = f(r) + A r.  a_t is a C-contiguous copy of A transposed,
-    so each stage's coupling is one row-major product rows @ a_t."""
-    coupled = np.empty_like(rows)
+    so each stage's coupling is one row-major product with a_t.
+
+    After every SETTLE_CHECK-th step, a row that this step left bitwise
+    unchanged (compared as int64, so the sign of a zero and NaN payloads
+    count) is a fixed point of the step map.  A row's step depends on the
+    row alone, and at m >= 5 on the block's height, which a run without
+    retirement never changes; so every later step would leave the row
+    unchanged too.  Such a row is written into `rows` and dropped from the
+    live block, and stepping restarts on the rows left, since the slope
+    ignores t; the loop ends once no row is left.  A row that blows up to
+    a stable non-finite pattern retires the same way; a row still moving,
+    or in a 2-cycle, never does.
+    """
+    live, index = rows, np.arange(len(rows))
+    stepper = _unforced_steps(a_t, f, live, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            if step % SETTLE_CHECK:
+                next(stepper)
+                continue
+            before = live.view(np.int64).copy()
+            next(stepper)
+            settled = (live.view(np.int64) == before).all(axis=1)
+            if settled.any():
+                rows[index[settled]] = live[settled]
+                live, index = live[~settled], index[~settled]
+                if not len(live):
+                    return
+                stepper = _unforced_steps(a_t, f, live, dt)
+    rows[index] = live
+
+
+def _unforced_steps(a_t, f: NodalDynamics, live, dt: float):
+    """`rk4_steps` over the unforced slope f(r) + r @ a_t of the block live."""
+    coupled = np.empty_like(live)
 
     def rhs(_t, state, out):
         f.raw(state, out)
         np.matmul(state, a_t, out=coupled)
         out += coupled
 
-    stepper = rk4_steps(rhs, rows, dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            next(stepper)
+    return rk4_steps(rhs, live, dt)
 
 
 def converged(

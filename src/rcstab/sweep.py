@@ -308,9 +308,12 @@ def write_boundary_csv(points: list[tuple[float, float]], path) -> None:
 
 
 def write_basin_csv(basin: BasinMap, path) -> None:
+    r2_text = [_fmt(r2) for r2 in basin.r2_values]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r1,r2,converged\n")
-        for i, r1 in enumerate(basin.r1_values):
-            for j, r2 in enumerate(basin.r2_values):
-                flag = "true" if basin.converged[i, j] else "false"
-                fh.write(f"{_fmt(r1)},{_fmt(r2)},{flag}\n")
+        for r1, flags in zip(basin.r1_values, basin.converged.tolist()):
+            r1_text = _fmt(r1)
+            fh.writelines(
+                f"{r1_text},{r2},{'true' if flag else 'false'}\n"
+                for r2, flag in zip(r2_text, flags)
+            )

@@ -279,6 +279,30 @@ class TestBasinCommand:
         assert all(line.endswith("true") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "command, name, key, value",
+    [
+        ("analyze", "two_node_analyze.json", "runtime", "discrete"),
+        ("basin", "two_node_basin.json", "basin", [1]),
+        ("sweep", "smoke_sweep.json", "signal", "lorenz"),
+        ("train", "lorenz_train.json", "runtime", None),
+    ],
+)
+def test_non_object_section_exits_2(tmp_path, capsys, command, name, key, value):
+    cfg = json.loads((CONFIGS / name).read_text())
+    cfg[key] = value
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert f"section {key!r} must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "basin", "sweep", "train"])
+def test_non_object_config_exits_2(tmp_path, capsys, command):
+    path = write_config(tmp_path, [1, 2])
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_shipped_configs_parse():
     for name in (
         "two_node_analyze.json", "tanh_analyze.json", "two_node_basin.json",

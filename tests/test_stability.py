@@ -3,8 +3,6 @@ basin verification."""
 
 import json
 import math
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -429,63 +427,76 @@ class TestSimulateUnforced:
         assert np.array_equal(stability.simulate_unforced(net, f, initials, 0.0), initials)
 
 
-class TestSplitUnforced:
-    """A batch is cut into row blocks fixed by its shape, so the result does
-    not depend on how many cores step them."""
-
-    CORES = (2, 3, 8)
+class TestRetiredRows:
+    """A row that a step leaves bitwise unchanged is retired from its block;
+    the other rows keep stepping, with the same bits."""
 
     @staticmethod
-    def serial(monkeypatch, *args):
-        monkeypatch.setattr(stability, "_cores", lambda: 1)
-        return stability.simulate_unforced(*args)
+    def counting(coeffs):
+        """A polynomial whose evaluate records the row count of each call."""
+        counts = []
 
-    def check_core_counts(self, monkeypatch, expected, *args):
-        before = threading.active_count()
-        for cores in self.CORES:
-            monkeypatch.setattr(stability, "_cores", lambda n=cores: n)
-            got = stability.simulate_unforced(*args)
-            assert got.tobytes() == expected.tobytes(), cores
-        assert threading.active_count() == before
+        class Counting(rc.Polynomial):
+            def evaluate(self, params, r, out):
+                counts.append(len(r))
+                return super().evaluate(params, r, out)
 
-    def test_two_nodes_with_divergent_row(self, two_node_system, monkeypatch):
-        net, f = two_node_system
-        initials = np.random.default_rng(8).uniform(-4.0, 4.0, size=(40, 2))
-        initials[23] = (1e3, -1e3)  # RK4 at dt = 0.02 overflows from here
-        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 25)  # blocks of 14, 13, 13
-        expected = self.serial(monkeypatch, net, f, initials, 5.0, 0.02)
-        assert not np.all(np.isfinite(expected[23]))
-        assert np.all(np.isfinite(np.delete(expected, 23, axis=0)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
-        try:
-            self.check_core_counts(monkeypatch, expected, net, f, initials, 5.0, 0.02)
-        finally:
-            sys.setswitchinterval(interval)
+        return Counting(coeffs), counts
 
-    def test_twenty_nodes(self, monkeypatch):
-        # at m = 20 OpenBLAS picks its kernel by block height, so a batch
-        # cut in two can differ from one batch in the last bit
-        net = rc.construct_adjacency(20, seed=3, input_coupling="signs")
-        f = rc.Polynomial((-1.0, 0.3, -0.5))
-        initials = np.random.default_rng(10).normal(size=(3001, 20))
-        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 15_000)  # 4 blocks
-        expected = self.serial(monkeypatch, net, f, initials, 0.2, 0.02)
-        self.check_core_counts(monkeypatch, expected, net, f, initials, 0.2, 0.02)
-
-    def test_hundred_nodes(self, ensemble_network, monkeypatch):
-        f = rc.Polynomial((-1.0, 0.3, -0.5))
-        initials = np.random.default_rng(9).normal(size=(50, 100))
-        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 1_200)  # 4 blocks
-        expected = self.serial(monkeypatch, ensemble_network, f, initials, 1.0, 0.02)
-        self.check_core_counts(
-            monkeypatch, expected, ensemble_network, f, initials, 1.0, 0.02
+    @staticmethod
+    def grid(resolution, half_width):
+        g1, g2 = np.meshgrid(
+            *[np.linspace(-half_width, half_width, resolution)] * 2, indexing="ij"
         )
+        return np.column_stack([g1.ravel(), g2.ravel()])
 
-    def test_worker_error_reaches_caller(self, two_node_system, monkeypatch):
+    def test_settling_grid_matches_reference_loop(self, two_node_system, monkeypatch):
+        net, f = two_node_system
+        initials = self.grid(100, 4.0)
+        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 5_000)  # 4 blocks
+        got = stability.simulate_unforced(net, f, initials, 50.0, 0.02)
+        expected = reference_unforced(net, f, initials, 50.0, 0.02)
+        assert got.tobytes() == expected.tobytes()
+        norms = np.linalg.norm(got, axis=1)
+        assert np.any(norms < stability.CONVERGED_NORM)
+        assert np.any(np.abs(norms - 2.952) < 1e-3)  # the settled equilibrium
+
+    def test_blown_up_rows_match_reference_loop(self, two_node_system):
         net, _ = two_node_system
-        monkeypatch.setattr(stability, "SPLIT_ELEMENTS", 20)  # three blocks of 10
-        monkeypatch.setattr(stability, "_cores", lambda: 3)
+        f, counts = self.counting((-1.0, 0.0, 0.5))
+        initials = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2000, 2))
+        got = stability.simulate_unforced(net, f, initials, 50.0, 0.02)
+        expected = reference_unforced(net, f, initials, 50.0, 0.02)
+        assert got.tobytes() == expected.tobytes()
+        finite = np.all(np.isfinite(got), axis=1)
+        assert 0 < finite.sum() < len(got)
+        assert counts[-1] == finite.sum()  # every blown-up row retired
+
+    def test_live_rows_shrink_once_rows_settle(self, two_node_system):
+        net, _ = two_node_system
+        f, counts = self.counting((-3.0, 4.0, -1.0))
+        stability.simulate_unforced(net, f, self.grid(40, 4.0), 50.0, 0.02)
+        assert counts[0] == 1600
+        assert counts[-1] < counts[0]
+        assert counts == sorted(counts, reverse=True)
+
+    def test_stops_once_every_row_is_retired(self, two_node_system):
+        net, _ = two_node_system
+        f, counts = self.counting((-3.0, 4.0, -1.0))
+        finals = stability.simulate_unforced(net, f, np.zeros((5, 2)), 50.0, 0.02)
+        assert np.array_equal(finals, np.zeros((5, 2)))
+        assert counts == [5] * (4 * stability.SETTLE_CHECK)
+
+    def test_converging_rows_are_never_retired(self, two_node_system):
+        net, _ = two_node_system
+        f, counts = self.counting((-3.0, 4.0, -1.0))
+        # inside the certified radius 1 every row converges to the origin
+        finals = stability.simulate_unforced(net, f, self.grid(30, 0.7), 50.0, 0.02)
+        assert np.all(np.linalg.norm(finals, axis=1) < stability.CONVERGED_NORM)
+        assert counts == [900] * (4 * 2500)
+
+    def test_error_in_f_reaches_caller(self, two_node_system):
+        net, _ = two_node_system
 
         class Faulty(rc.Polynomial):
             def evaluate(self, params, r, out):
@@ -494,11 +505,18 @@ class TestSplitUnforced:
                 return super().evaluate(params, r, out)
 
         initials = np.zeros((30, 2))
-        initials[-1] = (500.0, 0.0)  # only the last block meets the fault
-        before = threading.active_count()
+        initials[-1] = (500.0, 0.0)
         with pytest.raises(RuntimeError, match="faulty node"):
             stability.simulate_unforced(net, Faulty((-1.0,)), initials, 1.0, 0.02)
-        assert threading.active_count() == before
+
+    def test_twenty_nodes_repeat_bit_for_bit(self):
+        net = rc.construct_adjacency(20, seed=3, input_coupling="signs")
+        f, counts = self.counting((-3.0, 4.0, -1.0))
+        initials = 2.0 * np.random.default_rng(10).normal(size=(3001, 20))
+        first = stability.simulate_unforced(net, f, initials, 50.0, 0.02)
+        assert min(counts) < 1500  # rows retire from both blocks
+        second = stability.simulate_unforced(net, f, initials, 50.0, 0.02)
+        assert first.tobytes() == second.tobytes()
 
 
 class TestAnalyzeDispatch:

@@ -13,11 +13,13 @@ from rcstab.signals import SignalSpec
 from rcstab.sweep import (
     GridSpec,
     RuntimeParams,
+    BasinMap,
     SweepConfig,
     SweepRecord,
     basin_map,
     boundary_curve,
     run_sweep,
+    write_basin_csv,
     write_sweep_csv,
 )
 
@@ -251,6 +253,22 @@ class TestBasinMap:
     def test_requires_two_nodes(self, ensemble_network):
         with pytest.raises(ConfigError):
             basin_map(ensemble_network, rc.Polynomial((-3.0,)))
+
+    def test_csv_bytes_match_per_line_loop(self, tmp_path):
+        # a non-square grid with values that need all 17 digits
+        basin = BasinMap(
+            np.linspace(-4.0, 1.0 / 3.0, 7),
+            np.linspace(-0.1, 2.0 ** 0.5, 5),
+            np.random.default_rng(4).uniform(size=(7, 5)) < 0.5,
+        )
+        expected = ["r1,r2,converged\n"]
+        for i, r1 in enumerate(basin.r1_values):
+            for j, r2 in enumerate(basin.r2_values):
+                flag = "true" if basin.converged[i, j] else "false"
+                expected.append(f"{float(r1):.17g},{float(r2):.17g},{flag}\n")
+        path = tmp_path / "basin.csv"
+        write_basin_csv(basin, path)
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
 
 
 def test_sweep_csv_schema(tmp_path):
