@@ -25,6 +25,12 @@ from .errors import AnalysisError
 
 # Grid density for the sign-change scan used on transcendental kinds.
 _SCAN_POINTS = 10_000
+#: points h/2, h/4, ..., h/2**_LADDER on each side of the origin refine the
+#: scan cell around it (h is the scan step).  For tanh and sigmoid the last
+#: one sits at p2*r >= 1.6e-5, where the stationarity function of an odd f
+#: still stands about 1e6 above its rounding; a root nearer 0 would have a
+#: stationary value within about (p2*r)**2 ~ 3e-10 (relative) of fbar'(0).
+_LADDER = 10
 _ROOT_TOL = 1e-12
 
 
@@ -72,14 +78,6 @@ class NodalDynamics:
         """The nonzero real roots of r*f'(r) - f(r) = 0, ascending: every
         interior stationary point of f(r)/r, whatever the radius."""
         raise NotImplementedError
-
-    def ratio_limits(self):
-        """Limits of (inf, sup) of f(r)/r over [-c, c] as c grows unbounded.
-
-        Returns None when the ratio has no well-defined limit structure for
-        this kind (sigmoid around the origin); entries may be +-inf.
-        """
-        return None
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -162,6 +160,8 @@ class Polynomial(NodalDynamics):
         return sorted(polished)
 
     def ratio_limits(self):
+        """Limits of (inf, sup) of f(r)/r over [-c, c] as c grows unbounded;
+        entries may be +-inf."""
         coeffs = list(self.coeffs)
         while coeffs and coeffs[-1] == 0.0:
             coeffs.pop()
@@ -215,10 +215,6 @@ class ScaledTanh(NodalDynamics):
         # the stationarity equation has no nonzero real root.
         return []
 
-    def ratio_limits(self):
-        d0 = self.p1 * self.p2
-        return (min(d0, 0.0), max(d0, 0.0))
-
     def to_config(self):
         return {"kind": "tanh", "p1": self.p1, "p2": self.p2}
 
@@ -269,11 +265,12 @@ def shifted_stationary_points(base: NodalDynamics, shifts, offsets) -> list[list
     Each is found by a sign-change scan and bisection over the window beyond
     which its stationarity function cannot change sign: |shift| + 80/|p2|
     for tanh and sigmoid (|shift| + 1 when p2 vanishes), |shift| + 100 for
-    polynomials.  The origin is always a (at least) double root of the
-    stationarity function for shifted kinds, so it produces no sign change
-    and is excluded naturally.  The sign flips of every scan are bisected
-    together as one array; each element sees the operations and stopping
-    rule of a scalar bisection.
+    polynomials.  The origin is a root of at least second order, so the one
+    scan cell that holds it is skipped; _LADDER points on each side refine
+    that cell, so a root nearer 0 than one step h still shows as a sign
+    change unless it lies within h/2**_LADDER.  The sign flips of every scan
+    are bisected together as one array; each element sees the operations
+    and stopping rule of a scalar bisection.
     """
     shifts = np.asarray(shifts, dtype=float)
     if isinstance(base, (ScaledTanh, Sigmoid)):
@@ -290,7 +287,10 @@ def shifted_stationary_points(base: NodalDynamics, shifts, offsets) -> list[list
     lo, hi, flo, shift_of, offset_of = [], [], [], [], []
     for shift, offset, c in zip(shifts, offsets, np.abs(shifts) + reach):
         grid = np.linspace(-c, c, _SCAN_POINTS + 1)
-        grid = grid[np.abs(grid) > 1e-14 * max(1.0, c)]
+        rungs = (2.0 * c / _SCAN_POINTS) * 0.5 ** np.arange(1, _LADDER + 1)
+        grid = np.concatenate(
+            [grid[grid < -rungs[0]], -rungs, rungs[::-1], grid[grid > rungs[0]]]
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.asarray(g(grid, shift, offset))
         if not np.all(np.isfinite(vals)):
@@ -377,7 +377,7 @@ def with_param(f: NodalDynamics, name: str, value: float) -> NodalDynamics:
         return Polynomial(tuple(coeffs))
     if isinstance(f, (ScaledTanh, Sigmoid)):
         if idx not in (1, 2):
-            raise ValueError(f"{type(f).__name__} has only p1 and p2")
+            raise ValueError(f"{type(f).__name__} has only p1 and p2, not {name!r}")
         kwargs = {"p1": f.p1, "p2": f.p2}
         kwargs[f"p{idx}"] = value
         return type(f)(**kwargs)

@@ -39,6 +39,13 @@ class RuntimeParams:
     n_keep: int = 10000
     dt: float = 0.02
 
+    def __post_init__(self):
+        if self.transient < 0 or self.n_keep < 1:
+            raise ValueError(
+                f"need transient >= 0 and n_keep >= 1, got {self.transient} "
+                f"and {self.n_keep}"
+            )
+
 
 @dataclass(frozen=True)
 class DriveResult:

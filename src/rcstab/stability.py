@@ -10,7 +10,11 @@ Discrete time: the ratio must be bracketed, K-*(c) <= f(r)/r <= K+*(c), and
 the brackets must fit inside the admissible spectrum-shift interval
 [rho_minus, rho_plus] determined by how far the adjacency eigenvalues can
 move along the real axis while staying inside the unit circle.  Each side
-yields its own radius; the certified radius is the smaller one.
+yields its own radius; the certified radius is the smaller one.  The
+continuous test is this one's upper half, solved by the same code.  Global
+stability comes only from exact ratio limits (`ShiftedDynamics.ratio_limits`);
+a search past _CMAX_CAP reports the last radius where the bracket fit.  The
+certificate covers the unforced reservoir only.
 
 Dynamics that do not vanish at the origin (the sigmoid) are first recentered
 on the reservoir's actual fixed point, which makes the per-node functions
@@ -22,11 +26,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import NodalDynamics, shifted_stationary_points
+from .dynamics import NodalDynamics, Polynomial, shifted_stationary_points
 from .errors import FixedPointError, InfeasibleTopologyError
 from .network import ReservoirNetwork, SpectralSummary, alpha_max, critical_shifts
 from .signals import rk4_steps
@@ -59,11 +63,12 @@ class Regime(str, enum.Enum):
 class StabilityReport:
     """Outcome of a region analysis.
 
-    c_max is +inf for global stability and 0.0 for an unstable operating
-    point; kstar_at_cmax is the binding bound evaluated at c_max (the
-    limiting bound for the global case).  threshold is -alpha_max for
+    c_max is +inf for global stability, which the ratio limits alone decide,
+    0.0 for an unstable operating point, and else at most about _CMAX_CAP;
+    kstar_at_cmax is the binding bound evaluated at c_max (the limit nearer
+    its threshold for the global case).  threshold is -alpha_max for
     continuous time or the pair (rho_minus, rho_plus) for discrete time.
-    binding_side tells which discrete bracket fixed c_max.
+    binding_side tells which discrete bracket end fixed c_max.
     """
 
     regime: Regime
@@ -103,11 +108,9 @@ def bisect_flip(pred, lo: float, hi: float, abs_tol: float, rel_tol: float = 0.0
 
 
 def _largest_admissible(pred, start=_CMAX_START, cap=_CMAX_CAP):
-    """Largest c with pred(c) true, assuming pred flips true->false once.
-
-    Returns (c, crossed); crossed is False when the cap was reached with the
-    predicate still true everywhere (no finite boundary found).
-    """
+    """Largest c with pred(c) true, assuming pred flips true->false once; 0.0
+    when pred fails down to 1e-15, and the last radius where pred held when
+    the doubling passes cap (a finite under-claim, never inf)."""
     lo = start
     if not pred(lo):
         hi = lo
@@ -117,59 +120,62 @@ def _largest_admissible(pred, start=_CMAX_START, cap=_CMAX_CAP):
                 break
             hi = lo
         else:
-            return 0.0, True
+            return 0.0
     else:
         hi = 2.0 * lo
         while pred(hi):
             lo = hi
             hi *= 2.0
             if hi > cap:
-                return lo, False
-    lo, _ = bisect_flip(pred, lo, hi, abs_tol=1e-15, rel_tol=_CMAX_REL_TOL)
-    return lo, True
+                return lo
+    return bisect_flip(pred, lo, hi, abs_tol=1e-15, rel_tol=_CMAX_REL_TOL)[0]
+
+
+def _certify(view: ShiftedDynamics, lower: float, upper: float) -> StabilityReport:
+    """Certify the ball on which view's bracket stays inside [lower, upper].
+
+    Unstable when a slope at the origin already leaves the interval;
+    globally stable when `ShiftedDynamics.ratio_limits` lies inside it;
+    otherwise each side whose limit leaves the interval gets the largest
+    radius where its bracket end stays inside (valid because K- is
+    nonincreasing and K+ nondecreasing in c), and the smaller radius binds.
+    """
+    threshold = (lower, upper)
+    d0_min, d0_max = float(view.deriv0.min()), float(view.deriv0.max())
+    if d0_max > upper or d0_min < lower:
+        regime, c_max, up = Regime.UNSTABLE, 0.0, d0_max > upper
+    else:
+        lo, hi = view.ratio_limits()
+        if lower <= lo and hi <= upper:
+            # the limit nearer its threshold; an infinite lower never is
+            k_at = lo if abs(lo - lower) < abs(hi - upper) else hi
+            return StabilityReport(Regime.GLOBALLY_STABLE, math.inf, k_at, threshold)
+        c_up = math.inf if hi <= upper else _largest_admissible(
+            lambda c: view.kpair(c)[1] <= upper
+        )
+        c_low = math.inf if lo >= lower else _largest_admissible(
+            lambda c: view.kpair(c)[0] >= lower
+        )
+        regime, c_max, up = Regime.FINITE_REGION, min(c_up, c_low), c_up <= c_low
+    if c_max > 0:
+        k_at = view.kpair(c_max)[1 if up else 0]
+    else:
+        k_at = d0_max if up else d0_min
+    return StabilityReport(
+        regime=regime,
+        c_max=c_max,
+        kstar_at_cmax=k_at,
+        threshold=threshold,
+        binding_side="upper" if up else "lower",
+    )
 
 
 def cmax_continuous(f: NodalDynamics, alpha_max_value: float) -> StabilityReport:
-    """Classify the continuous-time regime and solve for the radius.
-
-    Unstable when the slope at the origin already violates the threshold;
-    globally stable when the limiting supremum of K* stays at or below it;
-    otherwise the unique crossing radius is found by expanding bracket plus
-    bisection (valid because K* is nondecreasing in c).
-    """
-    threshold = -float(alpha_max_value)
-    d0 = float(f.derivative(0.0))
-    if d0 > threshold:
-        return StabilityReport(
-            regime=Regime.UNSTABLE,
-            c_max=0.0,
-            kstar_at_cmax=d0,
-            threshold=threshold,
-        )
-    limits = f.ratio_limits()
-    sup = limits[1] if limits is not None else None
-    if sup is not None and sup <= threshold:
-        return StabilityReport(
-            regime=Regime.GLOBALLY_STABLE,
-            c_max=math.inf,
-            kstar_at_cmax=sup,
-            threshold=threshold,
-        )
-    shifted = _unshifted(f)
-    c_max, crossed = _largest_admissible(lambda c: shifted.kpair(c)[1] <= threshold)
-    if not crossed:
-        return StabilityReport(
-            regime=Regime.GLOBALLY_STABLE,
-            c_max=math.inf,
-            kstar_at_cmax=shifted.kpair(c_max)[1],
-            threshold=threshold,
-        )
-    return StabilityReport(
-        regime=Regime.FINITE_REGION,
-        c_max=c_max,
-        kstar_at_cmax=shifted.kpair(c_max)[1] if c_max > 0 else d0,
-        threshold=threshold,
-    )
+    """Classify the continuous-time regime: the one-sided certificate
+    K*(c) <= -alpha_max, whose threshold is a float and has no binding side.
+    f(0) must be 0."""
+    report = _certify(_unshifted(f), -math.inf, -float(alpha_max_value))
+    return replace(report, threshold=report.threshold[1], binding_side=None)
 
 
 class ShiftedDynamics:
@@ -236,9 +242,15 @@ class ShiftedDynamics:
         # has the sign of the first zero candidate, not that of the last
         return (float(stacked[stacked.argmin()]), float(stacked[stacked.argmax()]))
 
-    def ratio_limits(self):
-        if self.homogeneous:
-            return self.base.ratio_limits()
+    def ratio_limits(self) -> tuple[float, float]:
+        """Bounds (lo, hi) on fbar_i(r)/r for every node i and every r != 0,
+        which the bracket approaches as c grows: a homogeneous polynomial
+        view takes `Polynomial.ratio_limits`; a recentred polynomial view
+        gets (-inf, inf); a bounded kind, whose ratio tends to 0 far out,
+        takes the min and max of 0, the slopes fbar_i'(0) and the
+        stationary values."""
+        if isinstance(self.base, Polynomial):
+            return self.base.ratio_limits() if self.homogeneous else (-np.inf, np.inf)
         vals = [0.0, float(self.deriv0.min()), float(self.deriv0.max())]
         if self._roots.size:
             vals.append(float(self._root_values.min()))
@@ -328,67 +340,16 @@ def fixed_point(
 def cmax_discrete(
     dyn: NodalDynamics | ShiftedDynamics, spectral: SpectralSummary
 ) -> StabilityReport:
-    """Classify the discrete-time regime against the shift interval.
-
-    Each side is solved independently: the largest radius where K+ stays at
-    or below rho_plus, and the largest where K- stays at or above rho_minus.
-    The certified radius is the smaller; either side may be infinite.
-    """
+    """Classify the discrete-time regime against the shift interval
+    [rho_minus, rho_plus]: the two-sided certificate, whose binding_side
+    names the bracket end that fixed c_max."""
     rho_m, rho_p = spectral.rho_minus, spectral.rho_plus
     if rho_m > rho_p:
         raise InfeasibleTopologyError(
             f"empty admissible shift interval [{rho_m:.6g}, {rho_p:.6g}]"
         )
     shifted = dyn if isinstance(dyn, ShiftedDynamics) else _unshifted(dyn)
-    d0_min = float(shifted.deriv0.min())
-    d0_max = float(shifted.deriv0.max())
-    threshold = (rho_m, rho_p)
-    if d0_max > rho_p or d0_min < rho_m:
-        return StabilityReport(
-            regime=Regime.UNSTABLE,
-            c_max=0.0,
-            kstar_at_cmax=d0_max if d0_max > rho_p else d0_min,
-            threshold=threshold,
-            binding_side="upper" if d0_max > rho_p else "lower",
-        )
-    limits = shifted.ratio_limits()
-
-    def solve_side(is_upper: bool) -> float:
-        if limits is not None:
-            lim = limits[1] if is_upper else limits[0]
-            if (is_upper and lim <= rho_p) or (not is_upper and lim >= rho_m):
-                return math.inf
-        if is_upper:
-            pred = lambda c: shifted.kpair(c)[1] <= rho_p
-        else:
-            pred = lambda c: shifted.kpair(c)[0] >= rho_m
-        c_side, crossed = _largest_admissible(pred)
-        return c_side if crossed else math.inf
-
-    c_up = solve_side(True)
-    c_low = solve_side(False)
-    c_max = min(c_up, c_low)
-    if math.isinf(c_max):
-        lo, hi = limits if limits is not None else shifted.kpair(_CMAX_CAP)
-        return StabilityReport(
-            regime=Regime.GLOBALLY_STABLE,
-            c_max=math.inf,
-            kstar_at_cmax=hi if abs(hi - rho_p) <= abs(lo - rho_m) else lo,
-            threshold=threshold,
-        )
-    side = "upper" if c_up <= c_low else "lower"
-    if c_max > 0:
-        pair = shifted.kpair(c_max)
-        k_at = pair[1] if side == "upper" else pair[0]
-    else:
-        k_at = d0_max if side == "upper" else d0_min
-    return StabilityReport(
-        regime=Regime.FINITE_REGION,
-        c_max=c_max,
-        kstar_at_cmax=k_at,
-        threshold=threshold,
-        binding_side=side,
-    )
+    return _certify(shifted, rho_m, rho_p)
 
 
 def step_count(t_final: float, dt: float) -> int:

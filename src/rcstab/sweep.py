@@ -21,7 +21,7 @@ import numpy as np
 from . import reservoir, stability
 from .dynamics import NodalDynamics, with_param
 from .errors import ConfigError, RcstabError
-from .network import ReservoirNetwork, alpha_max, construct_adjacency
+from .network import ReservoirNetwork, _check_topology, alpha_max, construct_adjacency
 from .reservoir import RuntimeParams
 from .signals import SignalSpec
 
@@ -81,6 +81,12 @@ class SweepConfig:
             raise ConfigError("the two swept parameters must be distinct")
         if self.n_realizations < 1:
             raise ConfigError("need at least one realization")
+        try:
+            _check_topology(self.m, self.input_coupling)
+            for axis in (self.axis_x, self.axis_y):
+                with_param(self.template, axis, 1.0)  # 1.0 suits every parameter
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.time_kind == "continuous" and self.task.dt != self.runtime.dt:
             raise ConfigError(
                 f"continuous drive step {self.runtime.dt} must equal the "
@@ -206,10 +212,7 @@ def boundary_curve(
     def crit(x, y):
         f = config.cell_dynamics(x, y)
         if level == "global":
-            limits = f.ratio_limits()
-            sup = limits[1] if limits is not None else stability.kstar_continuous(
-                f, stability._CMAX_CAP
-            )
+            sup = stability._unshifted(f).ratio_limits()[1]
         else:
             sup = stability.kstar_continuous(f, float(level))
         return sup - threshold

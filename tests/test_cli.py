@@ -149,6 +149,15 @@ class TestTrain:
         # value recorded from this pipeline at build time
         assert payload["delta_rc"] == pytest.approx(0.1783958983457368, abs=1e-6)
 
+    @pytest.mark.parametrize("runtime", [{"n_keep": 0}, {"transient": -5}])
+    def test_bad_runtime_value_exits_2(self, tmp_path, capsys, runtime):
+        cfg = small_train_config()
+        cfg["runtime"].update(runtime)
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestSweepCommand:
     def test_smoke_sweep(self, tmp_path):
@@ -191,6 +200,39 @@ class TestSweepCommand:
         assert rcode == 0
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert len(payload["records"]) == 4
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("topology", "m", 1),
+            ("topology", "input_coupling", "bogus"),
+            ("runtime", "n_keep", 0),
+            ("runtime", "transient", -5),
+            ("axis_x", "param", "q2"),
+            ("axis_y", "param", "p0"),
+        ],
+    )
+    def test_bad_value_exits_2_before_the_sweep(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads((CONFIGS / "smoke_sweep.json").read_text())
+        block = cfg["sweep"][section] if section.startswith("axis") else cfg[section]
+        block[key] = value
+        rcode = main(["sweep", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out")])
+        assert rcode == 2
+        assert "config error" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_tanh_sweep_over_p2_keeps_bad_cells_local(self, tmp_path):
+        # p2 <= 0 is no scaled tanh: those cells fail alone, as regime error
+        cfg = json.loads((CONFIGS / "smoke_sweep.json").read_text())
+        cfg["dynamics"] = {"kind": "tanh", "p1": -1.0, "p2": 1.0}
+        cfg["sweep"]["axis_x"] = {"param": "p1", "min": -2, "max": -1, "steps": 2}
+        cfg["sweep"]["axis_y"] = {"param": "p2", "min": 0, "max": 1, "steps": 2}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        regimes = [line.split(",")[3] for line in
+                   (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]]
+        assert regimes.count("error") == 2 and len(regimes) == 4
 
 
 def smoke_sweep_with(boundary, time_kind="continuous"):

@@ -239,6 +239,210 @@ class TestCmaxDiscrete:
             rc.cmax_discrete(rc.Sigmoid(1.0, 1.0), _spectral_with_rho(0.5))
 
 
+def reference_limits(view):
+    """The earlier ratio limits: a homogeneous view took its kind's limits
+    (None for a sigmoid, the min and max of 0 and p1*p2 for tanh), any other
+    view the min and max of 0, its slopes and its stationary values."""
+    f = view.base
+    if view.homogeneous:
+        if isinstance(f, rc.Polynomial):
+            return f.ratio_limits()
+        if isinstance(f, rc.ScaledTanh):
+            d0 = f.p1 * f.p2
+            return (min(d0, 0.0), max(d0, 0.0))
+        return None
+    vals = [0.0, float(view.deriv0.min()), float(view.deriv0.max())]
+    if view._roots.size:
+        vals += [float(view._root_values.min()), float(view._root_values.max())]
+    return (min(vals), max(vals))
+
+
+def reference_largest_admissible(pred):
+    """The earlier radius search: (c, crossed), crossed False at the cap."""
+    lo = stability._CMAX_START
+    if not pred(lo):
+        hi = lo
+        while lo > 1e-15:
+            lo *= 0.25
+            if pred(lo):
+                break
+            hi = lo
+        else:
+            return 0.0, True
+    else:
+        hi = 2.0 * lo
+        while pred(hi):
+            lo = hi
+            hi *= 2.0
+            if hi > stability._CMAX_CAP:
+                return lo, False
+    lo, _ = stability.bisect_flip(pred, lo, hi, abs_tol=1e-15, rel_tol=1e-9)
+    return lo, True
+
+
+def reference_cmax_continuous(f, alpha):
+    """The earlier continuous solver, as a tuple of report fields."""
+    threshold = -float(alpha)
+    d0 = float(f.derivative(0.0))
+    if d0 > threshold:
+        return (Regime.UNSTABLE, 0.0, d0, threshold, None)
+    view = ShiftedDynamics(f, np.zeros(1), np.zeros(1))
+    limits = reference_limits(view)
+    if limits is not None and limits[1] <= threshold:
+        return (Regime.GLOBALLY_STABLE, math.inf, limits[1], threshold, None)
+    c_max, crossed = reference_largest_admissible(lambda c: view.kpair(c)[1] <= threshold)
+    if not crossed:
+        return (Regime.GLOBALLY_STABLE, math.inf, view.kpair(c_max)[1], threshold, None)
+    k_at = view.kpair(c_max)[1] if c_max > 0 else d0
+    return (Regime.FINITE_REGION, c_max, k_at, threshold, None)
+
+
+def reference_cmax_discrete(view, spectral):
+    """The earlier discrete solver, as a tuple of report fields."""
+    rho_m, rho_p = spectral.rho_minus, spectral.rho_plus
+    d0_min, d0_max = float(view.deriv0.min()), float(view.deriv0.max())
+    threshold = (rho_m, rho_p)
+    if d0_max > rho_p:
+        return (Regime.UNSTABLE, 0.0, d0_max, threshold, "upper")
+    if d0_min < rho_m:
+        return (Regime.UNSTABLE, 0.0, d0_min, threshold, "lower")
+    limits = reference_limits(view)
+
+    def solve_side(is_upper):
+        if limits is not None:
+            if (is_upper and limits[1] <= rho_p) or (not is_upper and limits[0] >= rho_m):
+                return math.inf
+        if is_upper:
+            c_side, crossed = reference_largest_admissible(lambda c: view.kpair(c)[1] <= rho_p)
+        else:
+            c_side, crossed = reference_largest_admissible(lambda c: view.kpair(c)[0] >= rho_m)
+        return c_side if crossed else math.inf
+
+    c_up, c_low = solve_side(True), solve_side(False)
+    c_max = min(c_up, c_low)
+    if math.isinf(c_max):
+        lo, hi = limits if limits is not None else view.kpair(stability._CMAX_CAP)
+        k_at = hi if abs(hi - rho_p) <= abs(lo - rho_m) else lo
+        return (Regime.GLOBALLY_STABLE, math.inf, k_at, threshold, None)
+    side = "upper" if c_up <= c_low else "lower"
+    if c_max > 0:
+        k_at = view.kpair(c_max)[1 if side == "upper" else 0]
+    else:
+        k_at = d0_max if side == "upper" else d0_min
+    return (Regime.FINITE_REGION, c_max, k_at, threshold, side)
+
+
+def assert_same_report(report, fields):
+    """report has the reference's fields, every float compared as hex so a
+    zero keeps its sign."""
+
+    def bits(regime, c_max, k_at, threshold, side):
+        bounds = threshold if isinstance(threshold, tuple) else (threshold,)
+        return (regime, c_max.hex(), k_at.hex(), [b.hex() for b in bounds], side)
+
+    got = (report.regime, report.c_max, report.kstar_at_cmax, report.threshold,
+           report.binding_side)
+    assert bits(*got) == bits(*fields)
+
+
+class TestCmaxReference:
+    """cmax_continuous and cmax_discrete equal the earlier two solvers, kept
+    above as a frozen copy, bit for bit.  The two may differ only where the
+    earlier ones over-claimed: a radius search that reached _CMAX_CAP (then
+    reported global) and a recentred polynomial view (whose stationary
+    values were read as limits); neither occurs on these inputs."""
+
+    @pytest.mark.parametrize("name", ["cubic_sweep.json", "quartic_sweep.json"])
+    def test_shipped_grids(self, name):
+        cfg = json.loads((Path(__file__).parent.parent / "configs" / name).read_text())
+        topo = cfg["topology"]
+        net = rc.construct_adjacency(
+            topo["m"], topo["seed"], topo["spectral_target"], topo["input_coupling"]
+        )
+        alpha, spectral = rc.alpha_max(net.a), rc.critical_shifts(net.a)
+        for f in shipped_grid(name):
+            assert_same_report(rc.cmax_continuous(f, alpha), reference_cmax_continuous(f, alpha))
+            view = ShiftedDynamics(f, np.zeros(1), np.zeros(1))
+            assert_same_report(
+                rc.cmax_discrete(f, spectral), reference_cmax_discrete(view, spectral)
+            )
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.8])
+    def test_tanh_discrete_cells(self, rho):
+        spectral = _spectral_with_rho(rho)
+        for p1 in np.linspace(-6.0, 6.0, 25):
+            for p2 in (0.25, 0.5, 1.2):
+                f = rc.ScaledTanh(float(p1), p2)
+                view = ShiftedDynamics(f, np.zeros(1), np.zeros(1))
+                assert_same_report(
+                    rc.cmax_discrete(f, spectral), reference_cmax_discrete(view, spectral)
+                )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sigmoid_cells(self, seed):
+        net = rc.construct_adjacency(12, seed=seed, input_coupling="signs")
+        spectral = rc.critical_shifts(net.a)
+        for p1 in np.linspace(-6.0, 6.0, 13):
+            for p2 in (0.25, 0.5, 0.75):
+                view = rc.fixed_point(net, rc.Sigmoid(float(p1), p2))
+                assert_same_report(
+                    rc.cmax_discrete(view, spectral), reference_cmax_discrete(view, spectral)
+                )
+
+
+class TestNoOverClaim:
+    """Crossings beyond _CMAX_CAP and recentred polynomial views report a
+    finite region whose bracket fits its thresholds, never global; a
+    stationary point next to the origin reaches the bracket."""
+
+    @staticmethod
+    def check(report, view):
+        assert report.regime is Regime.FINITE_REGION
+        assert 0.0 < report.c_max < math.inf
+        km, kp = view.kpair(report.c_max)
+        if isinstance(report.threshold, tuple):
+            assert report.threshold[0] <= km and kp <= report.threshold[1]
+        else:
+            assert kp <= report.threshold
+
+    def test_continuous_crossing_beyond_cap(self):
+        # K*(c) = -1 + 1e-9 c crosses -0.5 only at c = 5e8
+        f = rc.Polynomial((-1.0, 1e-9))
+        self.check(rc.cmax_continuous(f, 0.5), ShiftedDynamics(f, np.zeros(1), np.zeros(1)))
+
+    def test_discrete_crossing_beyond_cap(self):
+        # K+-(c) = +-1e-9 c leave [rho-, rho+] only near c = 5e8
+        f = rc.Polynomial((0.0, 1e-9))
+        net = rc.construct_adjacency(100, 0, 0.5, "signs")
+        report = rc.cmax_discrete(f, rc.critical_shifts(net.a))
+        self.check(report, ShiftedDynamics(f, np.zeros(1), np.zeros(1)))
+
+    def test_recentred_cubic(self):
+        # fbar(r) = f(r + 0.1) - f(0.1) grows like r^3: K+(10) = 4.95 > 0.8
+        f = rc.Polynomial((-0.2, 0.0, 0.05))
+        view = ShiftedDynamics(f, [0.1], [-f(0.1)])
+        assert view.ratio_limits() == (-math.inf, math.inf)
+        report = rc.cmax_discrete(view, rc.critical_shifts(np.diag([0.2, -0.2])))
+        self.check(report, view)
+
+    def test_stationary_point_in_the_origin_scan_cell(self):
+        # fbar(r)/r peaks at r = -0.099, inside the stationarity scan's cell
+        # around 0 (one step is 0.13 here), 2e-7 above fbar'(0)
+        f = rc.Sigmoid(0.5, 0.125)
+        view = ShiftedDynamics(f, [0.066], [-f(0.066)])
+        r = np.linspace(-1.0, 1.0, 20_001)
+        r = r[r != 0.0]
+        ratio = (f.raw(r + 0.066) - f(0.066)) / r
+        assert ratio.max() > view.deriv0[0] + 1e-7
+        km, kp = view.kpair(1.0)
+        assert km <= ratio.min() and ratio.max() <= kp + 1e-14
+        assert ratio.max() <= view.ratio_limits()[1] + 1e-14
+
+    def test_continuous_needs_origin_fixed_point(self):
+        with pytest.raises(ValueError, match="recentered"):
+            rc.cmax_continuous(rc.Sigmoid(1.0, 1.0), 0.5)
+
+
 class TestFixedPoint:
     def test_flat_sigmoid_uncoupled(self):
         net = rc.ReservoirNetwork(a=np.zeros((3, 3)), w=np.zeros(3))

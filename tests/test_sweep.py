@@ -84,17 +84,27 @@ class TestRunSweep:
             )
 
     def test_per_cell_errors_do_not_abort(self):
-        # sweeping a tanh template over p3 is a per-cell parameter error
+        # a scaled tanh needs p2 > 0, so every cell of this grid fails alone
         cfg = small_config(
             template=rc.ScaledTanh(1.0, 0.5),
             axis_x="p1",
-            axis_y="p3",
-            grid=GridSpec(-1.0, 1.0, 2, 0.0, 1.0, 2),
+            axis_y="p2",
+            grid=GridSpec(-1.0, 1.0, 2, -1.0, 0.0, 2),
         )
         records = run_sweep(cfg)
         assert len(records) == 4
         assert all(r.regime == "error" for r in records)
         assert all(r.error is not None for r in records)
+
+    @pytest.mark.parametrize("axis", ["p3", "q2", "p0"])
+    def test_axis_the_template_lacks_is_a_config_error(self, axis):
+        with pytest.raises(ConfigError, match=axis):
+            small_config(
+                template=rc.ScaledTanh(1.0, 0.5),
+                axis_x="p1",
+                axis_y=axis,
+                grid=GridSpec(-1.0, 1.0, 2, 0.0, 1.0, 2),
+            )
 
     def test_discrete_sweep_smoke(self):
         cfg = small_config(
