@@ -260,20 +260,17 @@ def _build_sweep_config(cfg: dict, args) -> sweep.SweepConfig:
         y_min=float(ay["min"]), y_max=float(ay["max"]), y_steps=int(ay["steps"]),
     )
     topo = _section(cfg, "topology")
-    base_seed = int(sw.get("base_seed", topo.get("seed", 0)))
-    if args.seed is not None:
-        base_seed = int(args.seed)
+    if "matrix" in topo:
+        raise ConfigError("a sweep needs a generative topology 'm', one seed per realization")
+    base_seed = int(sw.get("base_seed", topo.get("seed", 0)) if args.seed is None else args.seed)
+    n_realizations = int(sw.get("n_realizations", 1))
     return sweep.SweepConfig(
         time_kind=_time_kind(cfg),
         template=_build_dynamics(cfg),
         axis_x=ax["param"],
         axis_y=ay["param"],
         grid=grid,
-        m=int(topo.get("m", 100)),
-        n_realizations=int(sw.get("n_realizations", 1)),
-        base_seed=base_seed,
-        spectral_target=float(topo.get("spectral_target", 0.5)),
-        input_coupling=topo.get("input_coupling", "uniform"),
+        networks=tuple(_build_network(cfg, base_seed + k) for k in range(n_realizations)),
         task=_build_signal(cfg),
         runtime=_runtime(cfg),
     )
@@ -301,7 +298,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, args) -> int:
     n_div = sum(1 for r in records if r.diverged)
     n_err = sum(1 for r in records if r.regime == "error")
     print(f"cells={len(records)} diverged={n_div} errors={n_err}")
-    _write_manifest(out_dir, "sweep", cfg, config.base_seed)
+    _write_manifest(out_dir, "sweep", cfg, config.networks[0].seed)
     return EXIT_OK
 
 

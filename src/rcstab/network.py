@@ -85,14 +85,6 @@ def spectral_normalize(a, target: float) -> np.ndarray:
     return a * (float(target) / abs(abscissa))
 
 
-def _check_topology(m: int, input_coupling: str) -> None:
-    """Raise ValueError unless `construct_adjacency` accepts m and input_coupling."""
-    if m < 2:
-        raise ValueError(f"need at least 2 nodes, got {m}")
-    if input_coupling not in ("uniform", "signs"):
-        raise ValueError(f"unknown input_coupling {input_coupling!r}")
-
-
 def construct_adjacency(
     m: int,
     seed: int,
@@ -105,7 +97,10 @@ def construct_adjacency(
     U[-1, 1]; "signs" uses the signs of the same draws (w_i in {-1, +1}), so
     both choices consume the RNG stream identically.
     """
-    _check_topology(m, input_coupling)
+    if m < 2:
+        raise ValueError(f"need at least 2 nodes, got {m}")
+    if input_coupling not in ("uniform", "signs"):
+        raise ValueError(f"unknown input_coupling {input_coupling!r}")
     rng = np.random.default_rng(seed)
 
     a = np.ones((m, m)) - np.eye(m)

@@ -38,6 +38,9 @@ from .signals import rk4_steps
 _CMAX_REL_TOL = 1e-9
 _CMAX_CAP = 1e6
 _CMAX_START = 1e-3
+#: residual (max norm) at which a fixed-point Newton leg stops, and its step cap
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 200
 #: final-state norm below which an unforced trajectory counts as converged
 CONVERGED_NORM = 1e-4
 #: state elements (rows * m) per row block of `simulate_unforced`, which cuts
@@ -268,12 +271,7 @@ def _unshifted(f: NodalDynamics) -> ShiftedDynamics:
     return ShiftedDynamics(f, zero, zero)
 
 
-def fixed_point(
-    network: ReservoirNetwork,
-    f: NodalDynamics,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> ShiftedDynamics:
+def fixed_point(network: ReservoirNetwork, f: NodalDynamics) -> ShiftedDynamics:
     """Locate q* with f(q*) + A q* = q* and build the recentered view.
 
     Damped Newton from the origin; a plain fixed-point iteration serves as a
@@ -297,8 +295,8 @@ def fixed_point(
         to descend.
         """
         g = t * f.raw(q) + a @ q - q
-        for _ in range(max_iter):
-            if float(np.max(np.abs(g))) <= tol:
+        for _ in range(_FIXED_POINT_MAX_ITER):
+            if float(np.max(np.abs(g))) <= _FIXED_POINT_TOL:
                 break
             jac = t * np.diag(np.asarray(f.derivative(q))) + a - eye
             step, *_ = np.linalg.lstsq(jac, -g, rcond=None)
@@ -323,7 +321,7 @@ def fixed_point(
     while t_done < 1.0 and legs < 64:
         legs += 1
         q_new, res = newton(q.copy(), t_try)
-        if res <= tol:
+        if res <= _FIXED_POINT_TOL:
             q, t_done = q_new, t_try
             t_try = 1.0
         else:

@@ -1,12 +1,14 @@
 """Parameter-grid experiments: stability maps, training-error maps, boundary
 curves, and two-node basin maps.
 
-The cells of one realization are trained SLOTS at a time, as rows of one
-state, by `reservoir.train`, the pipeline the train command uses for its one
-cell; they are taken in canonical order (x-major, then y), and realizations
-follow one another.  Each cell is analyzed (`stability.analyze`) as it
-enters a slot, and the records come back in canonical order (x-major, then
-y, then realization).
+A sweep is given its networks, one per realization (`SweepConfig.networks`);
+it builds none itself, so the boundary curve reads the realization-0 network
+the map ran on.  The cells of one realization are trained SLOTS at a time,
+as rows of one state, by `reservoir.train`, the pipeline the train command
+uses for its one cell; they are taken in canonical order (x-major, then y),
+and realizations follow one another.  Each cell is analyzed
+(`stability.analyze`) as it enters a slot, and the records come back in
+canonical order (x-major, then y, then realization).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import reservoir, stability
 from .dynamics import NodalDynamics, with_param
 from .errors import ConfigError, RcstabError
-from .network import ReservoirNetwork, _check_topology, alpha_max, construct_adjacency
+from .network import ReservoirNetwork, alpha_max
 from .reservoir import RuntimeParams
 from .signals import SignalSpec
 
@@ -66,11 +68,7 @@ class SweepConfig:
     axis_x: str
     axis_y: str
     grid: GridSpec
-    m: int = 100
-    n_realizations: int = 1
-    base_seed: int = 0
-    spectral_target: float = 0.5
-    input_coupling: str = "uniform"
+    networks: tuple[ReservoirNetwork, ...]  # realization k runs on networks[k]
     task: SignalSpec = field(default_factory=SignalSpec)
     runtime: RuntimeParams = field(default_factory=RuntimeParams)
 
@@ -79,10 +77,12 @@ class SweepConfig:
             raise ConfigError(f"time_kind must be continuous or discrete: {self.time_kind!r}")
         if self.axis_x == self.axis_y:
             raise ConfigError("the two swept parameters must be distinct")
-        if self.n_realizations < 1:
+        object.__setattr__(self, "networks", tuple(self.networks))
+        if not self.networks:
             raise ConfigError("need at least one realization")
+        if len({net.m for net in self.networks}) > 1:
+            raise ConfigError("every realization's network must have the same node count")
         try:
-            _check_topology(self.m, self.input_coupling)
             for axis in (self.axis_x, self.axis_y):
                 with_param(self.template, axis, 1.0)  # 1.0 suits every parameter
         except ValueError as exc:
@@ -113,8 +113,8 @@ class SweepRecord:
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run the full grid x realizations experiment.
 
-    One network per realization (seed = base_seed + realization) is reused
-    across all grid cells, and a single signal pair drives every run.  The
+    Realization k runs every grid cell on config.networks[k], and records
+    that network's seed; a single signal pair drives every run.  The
     cells of a realization are trained SLOTS at a time by `reservoir.train`;
     a cell is made and analyzed as it enters a free slot, and its readout is
     fitted as soon as its drive ends.  Per-cell failures, a realization
@@ -123,17 +123,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """
     rt = config.runtime
     pair = config.task.build(rt.transient + rt.n_keep)
-    nets = [
-        construct_adjacency(
-            config.m,
-            seed=config.base_seed + k,
-            spectral_target=config.spectral_target,
-            input_coupling=config.input_coupling,
-        )
-        for k in range(config.n_realizations)
-    ]
     # each slot's Omega is overwritten by its next cell, once delta_rc is read
-    omegas = [reservoir.omega_buffer(config.m, rt.n_keep) for _ in range(SLOTS)]
+    omegas = [reservoir.omega_buffer(config.networks[0].m, rt.n_keep) for _ in range(SLOTS)]
     xs, ys = config.grid.x_values(), config.grid.y_values()
     records = {}
 
@@ -141,7 +132,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         records[i, j, k] = SweepRecord(
             x=float(xs[i]), y=float(ys[j]), realization=k, regime="error",
             c_max=math.nan, delta_rc=math.nan, diverged=False,
-            seed=config.base_seed + k, error=f"{type(exc).__name__}: {exc}",
+            seed=config.networks[k].seed, error=f"{type(exc).__name__}: {exc}",
         )
 
     def cells(k, net):
@@ -155,7 +146,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                     continue
                 yield (i, j, report), f
 
-    for k, net in enumerate(nets):
+    for k, net in enumerate(config.networks):
         trained = reservoir.train(net, cells(k, net), pair, config.time_kind, rt, omegas)
         for (i, j, report), step, fitted in trained:
             if isinstance(fitted, Exception):
@@ -166,17 +157,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 regime=report.regime.value, c_max=report.c_max,
                 delta_rc=math.nan if fitted is None else fitted.delta_rc,
                 diverged=step is not None,
-                seed=config.base_seed + k,
+                seed=net.seed,
             )
     return [records[key] for key in sorted(records)]
 
 
 def check_boundary(config: SweepConfig, level) -> None:
     """Raise ConfigError unless `boundary_curve(config, level)` is defined:
-    a continuous sweep, and a level that is "global" or a finite positive
-    radius (a bool is not a radius)."""
+    a continuous sweep whose cells keep f(0) = 0, and a level that is
+    "global" or a finite positive radius (a bool is not a radius)."""
     if config.time_kind != "continuous":
         raise ConfigError("boundary curves are defined for continuous sweeps")
+    # a sigmoid sweep has p1 on an axis, and at p1 = 1.0 its f(0) = 0.5.  Not
+    # cell_dynamics: perfbench ends its set-up probe at that call's first use
+    probe = with_param(with_param(config.template, config.axis_x, 1.0), config.axis_y, 1.0)
+    if not probe.origin_fixed():
+        raise ConfigError("boundary curves need dynamics with f(0) = 0 in every cell")
     radius = isinstance(level, (int, float)) and not isinstance(level, bool)
     # compared, not converted: an integer beyond float range fails float()
     if level != "global" and not (radius and 0 < level <= sys.float_info.max):
@@ -185,29 +181,19 @@ def check_boundary(config: SweepConfig, level) -> None:
         )
 
 
-def boundary_curve(
-    config: SweepConfig, level="global", alpha_max_value: float | None = None
-) -> list[tuple[float, float]]:
+def boundary_curve(config: SweepConfig, level="global") -> list[tuple[float, float]]:
     """Stability boundary in the swept plane (continuous time).
 
     For each grid x the curve point is the y where the criterion crosses the
-    threshold -alpha_max of the realization-0 network (or of an explicitly
-    supplied alpha_max_value): the limiting supremum of K* for
-    level="global", or K*(c) at a fixed radius c for a numeric level.
+    threshold -alpha_max of config.networks[0], the realization-0 network:
+    the limiting supremum of K* for level="global", or K*(c) at a fixed
+    radius c for a numeric level.
     Scanning runs upward in y from the stable side; cells with multiple
     crossings are flagged with a warning and the first crossing is kept.
     x values whose criterion never crosses are omitted.
     """
     check_boundary(config, level)
-    if alpha_max_value is None:
-        net = construct_adjacency(
-            config.m,
-            seed=config.base_seed,
-            spectral_target=config.spectral_target,
-            input_coupling=config.input_coupling,
-        )
-        alpha_max_value = alpha_max(net.a)
-    threshold = -alpha_max_value
+    threshold = -alpha_max(config.networks[0].a)
 
     def crit(x, y):
         f = config.cell_dynamics(x, y)

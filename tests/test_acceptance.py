@@ -139,10 +139,7 @@ def error_map_records():
         axis_x="p2",
         axis_y="p3",
         grid=GridSpec(-10.0, 10.0, 21, -10.0, 4.0, 21),
-        m=100,
-        n_realizations=1,
-        base_seed=0,
-        input_coupling="signs",
+        networks=(rc.construct_adjacency(100, seed=0, input_coupling="signs"),),
         task=SignalSpec(dt=0.02, transient_steps=5000),
         runtime=RuntimeParams(transient=2000, n_keep=10000, dt=0.02),
     )

@@ -222,6 +222,21 @@ class TestSweepCommand:
         assert "config error" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "topology",
+        [{"matrix": [[0, 1], [-1, 0]]}, {"seed": 0, "input_coupling": "signs"}],
+        ids=["matrix", "no-m"],
+    )
+    def test_sweep_needs_a_generative_topology(self, tmp_path, capsys, topology):
+        # each realization draws its own network from its seed, at the given m
+        cfg = json.loads((CONFIGS / "smoke_sweep.json").read_text())
+        cfg["topology"] = topology
+        rcode = main(["sweep", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out")])
+        assert rcode == 2
+        assert "config error" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_tanh_sweep_over_p2_keeps_bad_cells_local(self, tmp_path):
         # p2 <= 0 is no scaled tanh: those cells fail alone, as regime error
         cfg = json.loads((CONFIGS / "smoke_sweep.json").read_text())
@@ -242,6 +257,15 @@ def smoke_sweep_with(boundary, time_kind="continuous"):
     return cfg
 
 
+def sigmoid_sweep_with(boundary):
+    """The smoke sweep over a continuous sigmoid, whose f(0) = p1/2."""
+    cfg = smoke_sweep_with(boundary)
+    cfg["dynamics"] = {"kind": "sigmoid", "p1": 1, "p2": 0.5}
+    cfg["sweep"]["axis_x"] = {"param": "p1", "min": -2, "max": 2, "steps": 2}
+    cfg["sweep"]["axis_y"] = {"param": "p2", "min": 0.25, "max": 0.75, "steps": 2}
+    return cfg
+
+
 class TestBoundarySettings:
     @pytest.mark.parametrize(
         "cfg",
@@ -253,9 +277,11 @@ class TestBoundarySettings:
             smoke_sweep_with({"level": 10**400}),  # an integer beyond float range
             smoke_sweep_with({"level": "global"}, time_kind="discrete"),
             smoke_sweep_with(["global"]),
+            sigmoid_sweep_with({"level": "global"}),
+            sigmoid_sweep_with({"level": 1.0}),
         ],
         ids=["negative", "unknown", "infinity", "bool", "beyond-float", "discrete",
-             "not-an-object"],
+             "not-an-object", "sigmoid-global", "sigmoid-radius"],
     )
     def test_bad_boundary_exits_2_before_the_sweep(self, tmp_path, capsys, cfg):
         rcode = main(["sweep", "--config", write_config(tmp_path, cfg),

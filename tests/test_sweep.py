@@ -24,17 +24,18 @@ from rcstab.sweep import (
 )
 
 
-def small_config(**over):
+def small_config(m=10, n_realizations=1, **over):
+    """A small continuous cubic sweep on signs-coupled networks of seeds 0, 1, ..."""
     base = dict(
         time_kind="continuous",
         template=rc.Polynomial((-3.0,)),
         axis_x="p2",
         axis_y="p3",
         grid=GridSpec(-2.0, 2.0, 2, -2.0, -1.0, 2),
-        m=10,
-        n_realizations=1,
-        base_seed=0,
-        input_coupling="signs",
+        networks=tuple(
+            rc.construct_adjacency(m, seed=k, input_coupling="signs")
+            for k in range(n_realizations)
+        ),
         task=SignalSpec(),
         runtime=RuntimeParams(transient=100, n_keep=400, dt=0.02),
     )
@@ -142,6 +143,18 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             small_config(task=SignalSpec(dt=0.05))
 
+    def test_networks_must_be_given_and_of_one_size(self):
+        with pytest.raises(ConfigError, match="at least one realization"):
+            small_config(networks=())
+        nets = (rc.construct_adjacency(10, seed=0), rc.construct_adjacency(12, seed=1))
+        with pytest.raises(ConfigError, match="same node count"):
+            small_config(networks=nets)
+
+    def test_records_carry_each_network_seed(self):
+        nets = tuple(rc.construct_adjacency(10, seed=s, input_coupling="signs") for s in (7, 3))
+        records = run_sweep(small_config(networks=nets))
+        assert [(r.realization, r.seed) for r in records[:2]] == [(0, 7), (1, 3)]
+
 
 class TestSweepContract:
     def test_each_cell_made_once_and_records_canonical(self, monkeypatch):
@@ -189,7 +202,7 @@ class TestSweepContract:
         # six cells, but only the two slots' Omega buffers alive at once
         rt = RuntimeParams(transient=200, n_keep=2000, dt=0.02)
         cfg = small_config(grid=GridSpec(-2.0, 2.0, 3, -2.0, -1.0, 2), m=100, runtime=rt)
-        omega_bytes = rt.n_keep * (cfg.m + 1) * 8
+        omega_bytes = rt.n_keep * (100 + 1) * 8
         pair_bytes = 2 * (rt.transient + rt.n_keep) * 8
         tracemalloc.start()
         try:
@@ -203,26 +216,33 @@ class TestSweepContract:
         assert peak <= 2.5 * omega_bytes + pair_bytes, peak / omega_bytes
 
 
+def boundary_config(grid):
+    """A cubic sweep on diag(0.5, -1), whose alpha_max is exactly 0.5."""
+    net = rc.ReservoirNetwork(a=np.diag([0.5, -1.0]), w=np.zeros(2))
+    assert rc.alpha_max(net.a) == 0.5
+    return small_config(grid=grid, networks=(net,))
+
+
 class TestBoundaryCurve:
     def test_closed_form_anchor(self):
         # sup K* = p1 - p2^2/(4 p3) crosses -alpha at p3 = p2^2/(4(p1+alpha));
         # at p1=-3, alpha=0.5, p2=2 the boundary sits at p3 = -0.4
-        cfg = small_config(grid=GridSpec(2.0, 3.0, 2, -1.0, -0.05, 40))
-        points = boundary_curve(cfg, "global", alpha_max_value=0.5)
+        cfg = boundary_config(GridSpec(2.0, 3.0, 2, -1.0, -0.05, 40))
+        points = boundary_curve(cfg, "global")
         by_x = dict(points)
         assert abs(by_x[2.0] - (-0.4)) <= 1e-6
         assert abs(by_x[3.0] - (9.0 / (4.0 * (-2.5)))) <= 1e-6
 
     def test_no_crossing_gives_empty(self):
         # with p2 = 0 the supremum equals p1 = -3 < -alpha everywhere below
-        cfg = small_config(grid=GridSpec(0.0, 0.0001, 2, -3.0, -1.0, 10))
-        assert boundary_curve(cfg, "global", alpha_max_value=0.5) == []
+        cfg = boundary_config(GridSpec(0.0, 0.0001, 2, -3.0, -1.0, 10))
+        assert boundary_curve(cfg, "global") == []
 
     def test_level_curve_radius_one(self):
         # K*(1) for the cubic with p1=-3: max(-3 + p2 + p3, -3 - p2 + p3)
         # crosses -alpha at p3 = p1_abs - |p2| ... check against closed form
-        cfg = small_config(grid=GridSpec(2.0, 2.0001, 2, -4.0, 2.0, 30))
-        points = boundary_curve(cfg, 1.0, alpha_max_value=0.5)
+        cfg = boundary_config(GridSpec(2.0, 2.0001, 2, -4.0, 2.0, 30))
+        points = boundary_curve(cfg, 1.0)
         # -3 + 2 + p3 = -0.5  =>  p3 = 0.5
         assert abs(points[0][1] - 0.5) <= 1e-6
 
@@ -239,7 +259,7 @@ class TestBoundaryCurve:
     @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan, True, "local", None])
     def test_bad_level_rejected(self, level):
         with pytest.raises(ConfigError):
-            boundary_curve(small_config(), level, alpha_max_value=0.5)
+            boundary_curve(small_config(), level)
 
 
 class TestBasinMap:
