@@ -1,5 +1,13 @@
 """Lyapunov stability regions and training-error maps for reservoir computers."""
 
+import os
+
+# One OpenBLAS thread unless the caller chose a count: the m = 100 BLAS calls
+# are too small to gain from more, and their rounding must not depend on the
+# core count.  Read once, when numpy first loads OpenBLAS, so this must come
+# before the first import below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .dynamics import (

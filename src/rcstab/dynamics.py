@@ -175,7 +175,11 @@ class Polynomial(NodalDynamics):
             # the two endpoint chords diverge with opposite signs, or h lost a
             # nonzero term whose root's ratio value lies beyond float range
             return (-np.inf, np.inf)
-        vals = [p1] + [float(self.raw(r) / r) for r in self.stationary_points()]
+        with np.errstate(over="ignore", invalid="ignore"):  # far roots may overflow
+            vals = [p1] + [float(self.raw(r) / r) for r in self.stationary_points()]
+        if not np.all(np.isfinite(vals)):
+            # a root too far out for its ratio value to fit in a float
+            return (-np.inf, np.inf)
         if coeffs[-1] > 0.0:
             return (min(vals), np.inf)
         return (-np.inf, max(vals))

@@ -16,6 +16,12 @@ stability comes only from exact ratio limits (`ShiftedDynamics.ratio_limits`);
 a search past _CMAX_CAP reports the last radius where the bracket fit.  The
 certificate covers the unforced reservoir only.
 
+What the discrete test proves: one scalar shift K in [K-, K+] of A's whole
+spectrum proves stability only when every node has the same ratio
+f(r_i)/r_i.  In general the frozen-time matrix is diag(k) + A, with each k_i
+anywhere in the bracket, and one shift does not bound its spectrum.  The
+regime is kept as the paper defines it.
+
 Dynamics that do not vanish at the origin (the sigmoid) are first recentered
 on the reservoir's actual fixed point, which makes the per-node functions
 non-homogeneous; the brackets then aggregate per-node candidates by min/max.
@@ -46,11 +52,10 @@ CONVERGED_NORM = 1e-4
 #: state elements (rows * m) per row block of `simulate_unforced`, which cuts
 #: a batch into max(1, rows * m // SPLIT_ELEMENTS) blocks and steps them one
 #: after another.  Measured on one 2-core machine on the basin's 40,000 rows
-#: at m = 2, t = 50, with settled rows retired (3 runs each,
-#: OPENBLAS_NUM_THREADS=1): one block took 1.93-2.10 s at 38.9 MB peak RSS,
-#: two blocks 1.78-2.18 s at 35.2 MB, four 2.07-2.35 s at 33.5 MB and eight
-#: 2.14-2.64 s at 32.6 MB.  So two blocks are as fast as one and 3.6 MB
-#: smaller.
+#: at m = 2, t = 50, with settled rows retired (3 runs each): one block took
+#: 1.93-2.10 s at 38.9 MB peak RSS, two blocks 1.78-2.18 s at 35.2 MB, four
+#: 2.07-2.35 s at 33.5 MB and eight 2.14-2.64 s at 32.6 MB.  So two blocks
+#: are as fast as one and 3.6 MB smaller.
 SPLIT_ELEMENTS = 30_000
 #: steps between two checks of `simulate_unforced` for settled rows
 SETTLE_CHECK = 64

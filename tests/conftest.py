@@ -1,9 +1,13 @@
-"""Shared fixtures: the two-node reference system and a desk-scale ensemble."""
+"""Shared fixtures: the two-node reference system and a desk-scale ensemble.
+
+rcstab is imported before numpy, so its one-thread OpenBLAS default applies
+to the whole suite.
+"""
+
+import rcstab as rc  # isort: skip  (must load before numpy)
 
 import numpy as np
 import pytest
-
-import rcstab as rc
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,20 @@
 """Command-line interface: configs, outputs, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rcstab
 from rcstab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: the directory this rcstab was imported from, for fresh subprocesses
+SRC = str(Path(rcstab.__file__).resolve().parent.parent)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -378,3 +384,48 @@ def test_shipped_configs_parse():
         "sigmoid_sweep.json", "smoke_sweep.json",
     ):
         json.loads((CONFIGS / name).read_text())
+
+
+def run_fresh(args, threads):
+    """Run `python args` in a fresh process that imports this rcstab, with
+    OPENBLAS_NUM_THREADS set to `threads`, or removed when it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True)
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("threads, expected", [(None, "1"), ("3", "3")])
+    def test_import_sets_one_thread_unless_chosen(self, threads, expected):
+        probe = "import os, rcstab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_fresh(["-c", probe], threads).stdout.strip() == expected
+
+    def test_unset_sweep_matches_one_thread(self, tmp_path):
+        """With OPENBLAS_NUM_THREADS unset, a sweep writes the bytes of a
+        one-thread run.  Without the pin, this config's `delta_rc` differs
+        between one and two OpenBLAS threads, so the test fails there on two
+        or more cores; on one core it passes trivially."""
+        cfg = {
+            "dynamics": {"kind": "sigmoid", "p1": 0.0, "p2": 0.5},
+            "topology": {"m": 100, "seed": 0, "input_coupling": "signs"},
+            "signal": {"source": "lorenz", "input_component": "x",
+                       "target_component": "z", "dt": 0.02, "transient_steps": 1000},
+            "runtime": {"time_kind": "discrete", "transient": 200, "n_keep": 5000,
+                        "dt": 0.02},
+            "sweep": {
+                "axis_x": {"param": "p1", "min": -3, "max": 3, "steps": 2},
+                "axis_y": {"param": "p2", "min": 0.25, "max": 0.75, "steps": 2},
+                "n_realizations": 1,
+            },
+        }
+        path = write_config(tmp_path, cfg)
+        outs = []
+        for name, threads in (("unset", None), ("one", "1")):
+            out = tmp_path / name
+            run_fresh(["-m", "rcstab.cli", "sweep", "--config", path, "--out", str(out)],
+                      threads)
+            outs.append((out / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]

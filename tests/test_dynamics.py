@@ -368,7 +368,16 @@ class TestRatioLimits:
         # global min of the ratio at r = -p2/(2 p3) = -2: -3 - 16/4 = -7
         assert abs(lo - (-7.0)) <= 1e-10
 
-    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 2.2250738585e-313), (-1.0, 1.0, -1e-305)])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (0.0, 1.0, 2.2250738585e-313),
+            (-1.0, 1.0, -1e-305),
+            # kept in h, but the far root (about 5e212) overflows its ratio
+            (0.0, 0.0, 0.0, 5.0, 7.478882482025366e-213),
+            (0.0, 0.0, 0.0, 5.0, -7.478882482025366e-213),
+        ],
+    )
     def test_negligible_leading_coefficient_unbounded(self, coeffs):
         # the stationary value of the far root lies beyond float range, so
         # neither limit may be taken from the remaining roots

@@ -2,10 +2,11 @@
 
 For random dynamics and radii, f(r)/r on a dense grid of [-c, c] must stay
 inside kstar_discrete(f, c), to 1e-9 relative to the bracket's scale.  For
-random polynomials, tanh and recentred sigmoid views:
+random polynomials, tanh, their views recentred on random points q
+(fbar_i(r) = f(r + q_i) - f(q_i)) and recentred sigmoid views:
 
 - `ShiftedDynamics.ratio_limits` bounds every node's ratio over a wide
-  window, and a recentred sigmoid view's `kpair(c)` over [-c, c];
+  window, and a recentred view's `kpair(c)` over [-c, c];
 - a finite c_max found by a crossing satisfies its predicate, which fails
   just above it;
 - a globally stable report has its limits inside its thresholds.
@@ -89,6 +90,19 @@ sigmoid_views = st.builds(
 )
 
 
+def recentred_view(f, q):
+    """f recentred on the points q: fbar_i(r) = f(r + q_i) - f(q_i)."""
+    q = np.asarray(q, dtype=float)
+    return ShiftedDynamics(f, q, -f.raw(q))
+
+
+recentred_views = st.builds(
+    recentred_view,
+    st.one_of(polynomials, tanhs),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+)
+
+
 def assert_inside(view, r, lo, hi):
     """Every node's ratio on the grid r lies inside [lo, hi], to 1e-9
     relative plus what fbar_i(0) != 0 (the fixed-point residual) and the
@@ -135,15 +149,26 @@ def test_limits_bound_the_ratio(f):
     assert_limits_hold(origin_view(f))
 
 
+def assert_kpair_holds(view):
+    for c in (0.3, 2.0, 9.0):
+        r = np.linspace(-c, c, 10_001)
+        assert_inside(view, r[r != 0.0], *view.kpair(c))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(view_and_spectral=sigmoid_views)
 def test_sigmoid_view_limits_and_report(view_and_spectral):
     view, spectral = view_and_spectral
     assert_limits_hold(view)
-    for c in (0.3, 2.0, 9.0):
-        r = np.linspace(-c, c, 10_001)
-        assert_inside(view, r[r != 0.0], *view.kpair(c))
+    assert_kpair_holds(view)
     assert_report_sound(rc.cmax_discrete(view, spectral), view)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(view=recentred_views)
+def test_recentred_view_limits_and_kpair(view):
+    assert_limits_hold(view)
+    assert_kpair_holds(view)
 
 
 @examples
