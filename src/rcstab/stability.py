@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import NodalDynamics, Polynomial, shifted_stationary_points
+from .dynamics import NodalDynamics, Polynomial, ScaledTanh, shifted_stationary_points
 from .errors import FixedPointError, InfeasibleTopologyError
 from .network import ReservoirNetwork, SpectralSummary, alpha_max, critical_shifts
 from .signals import rk4_steps
@@ -51,11 +51,15 @@ _FIXED_POINT_MAX_ITER = 200
 CONVERGED_NORM = 1e-4
 #: state elements (rows * m) per row block of `simulate_unforced`, which cuts
 #: a batch into max(1, rows * m // SPLIT_ELEMENTS) blocks and steps them one
-#: after another.  Measured on one 2-core machine on the basin's 40,000 rows
-#: at m = 2, t = 50, with settled rows retired (3 runs each): one block took
-#: 1.93-2.10 s at 38.9 MB peak RSS, two blocks 1.78-2.18 s at 35.2 MB, four
-#: 2.07-2.35 s at 33.5 MB and eight 2.14-2.64 s at 32.6 MB.  So two blocks
-#: are as fast as one and 3.6 MB smaller.
+#: after another.  Measured on one 2-core machine with `rcstab basin` on the
+#: basin's 40,000 rows at m = 2, t = 50, with settled rows retired and
+#: converging rows captured (`converged`), 8 alternating runs each: one
+#: block took 0.47-0.63 s (median 0.56) at 41.2 MB peak RSS, two blocks
+#: 0.51-0.61 s (0.54) at 38.5 MB and four 0.47-0.57 s (0.52) at 36.9 MB;
+#: in 3 runs, eight took 0.57-0.68 s at 36.9 MB.  Two blocks stay as fast
+#: as one and 2.7 MB smaller.  Four gain 0.02 s in the median, inside the
+#: spread, and 1.6 MB; they would change the block count, and so the ulps
+#: at m >= 5, of nearly every batch of 40,000 elements or more.
 SPLIT_ELEMENTS = 30_000
 #: steps between two checks of `simulate_unforced` for settled rows
 SETTLE_CHECK = 64
@@ -362,6 +366,8 @@ def step_count(t_final: float, dt: float) -> int:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt overflows: {t_final} / {dt}")
     return int(round(t_final / dt))
 
 
@@ -371,6 +377,8 @@ def simulate_unforced(
     initials,
     t_final: float = 50.0,
     dt: float = 0.02,
+    *,
+    capture: float = 0.0,
 ) -> np.ndarray:
     """Integrate the unforced continuous reservoir from a batch of initial
     conditions; returns the final states (diverged rows become non-finite).
@@ -383,16 +391,21 @@ def simulate_unforced(
     transposed.  With OpenBLAS at m = 2 and 3 its bits do not depend on the
     block's height; at m >= 5 they can, so retiring rows may move the other
     rows of a block by ulps.
+
+    A positive capture radius also retires every row whose 2-norm has
+    fallen below it, and returns that row as it was then, not at t_final.
+    Pass one only when the step map keeps that ball inside itself
+    (`_capture_radius`); the default 0 captures nothing.
     """
     steps = step_count(t_final, dt)
     r = np.array(np.atleast_2d(initials), dtype=float)
     a_t = np.ascontiguousarray(network.a.T)
     for rows in np.array_split(r, max(1, r.size // SPLIT_ELEMENTS)):
-        _integrate(a_t, f, rows, steps, dt)
+        _integrate(a_t, f, rows, steps, dt, capture)
     return r
 
 
-def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float) -> None:
+def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float, capture: float) -> None:
     """Advance rows, a block of unforced states, in place by `steps` RK4
     steps of r' = f(r) + A r.  a_t is a C-contiguous copy of A transposed,
     so each stage's coupling is one row-major product with a_t.
@@ -406,7 +419,8 @@ def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float) -> None:
     live block, and stepping restarts on the rows left, since the slope
     ignores t; the loop ends once no row is left.  A row that blows up to
     a stable non-finite pattern retires the same way; a row still moving,
-    or in a 2-cycle, never does.
+    or in a 2-cycle, never does.  In the same pass, a row whose 2-norm is
+    below capture retires as it stands.
     """
     live, index = rows, np.arange(len(rows))
     stepper = _unforced_steps(a_t, f, live, dt)
@@ -418,6 +432,9 @@ def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float) -> None:
             before = live.view(np.int64).copy()
             next(stepper)
             settled = (live.view(np.int64) == before).all(axis=1)
+            del before  # first, so the norm's temporaries do not raise peak RSS
+            if capture > 0:
+                settled |= np.linalg.norm(live, axis=1) < capture
             if settled.any():
                 rows[index[settled]] = live[settled]
                 live, index = live[~settled], index[~settled]
@@ -439,12 +456,88 @@ def _unforced_steps(a_t, f: NodalDynamics, live, dt: float):
     return rk4_steps(rhs, live, dt)
 
 
+def _rk4_poly(z: float) -> float:
+    """P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, RK4's step factor for y' = ky
+    at z = hk.  Multiplications only, so a huge z gives inf, not an error."""
+    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+
+def _stage_poly(z: float) -> float:
+    """Q(z) = 1 + z + z^2/2 + z^3/4, the bound of RK4's last stage state."""
+    return 1.0 + z * (1.0 + z * (0.5 + z * 0.25))
+
+
+def _norm2_bound(x) -> float:
+    """sqrt(||x||_1 ||x||_inf), an upper bound on ||x||_2 without LAPACK."""
+    x = np.abs(x)
+    return math.sqrt(float(x.sum(axis=0).max()) * float(x.sum(axis=1).max()))
+
+
+def _capture_radius(network: ReservoirNetwork, f: NodalDynamics, dt: float) -> float:
+    """CONVERGED_NORM when the lemma below proves that S, RK4's step map of
+    r' = f(r) + A r at h = dt, keeps the ball |r| < tau = CONVERGED_NORM
+    inside itself; 0 otherwise.  |.| is the 2-norm.
+
+    Lemma.  Let f(0) = 0, J = f'(0) I + A, L >= ||J||_2, M = P(hJ) (RK4's
+    step matrix for r' = Jr), rho = 2 tau Q(hL), delta >= sup over
+    0 < |x| <= rho of |f(x)/x - f'(0)|, and K = L + delta.  If
+    Q(hK) <= 1.5 Q(hL), every |r| <= 4 tau / 3 has
+    |S(r)| <= (||M||_2 + P(hK) - P(hL)) |r|.
+
+    Proof.  Write F(x) = Jx + g(x).  Each |x_i| <= |x| <= rho gives
+    |g(x)| <= delta |x|, so |F(x)| <= K |x|.  RK4 evaluates k_i = F(y_i) at
+    y_1 = r and y_{i+1} = r + c_i h k_i, with c = (1/2, 1/2, 1).  By
+    induction |k_i| <= a_i |r|, where a_1 = K and a_{i+1} = K (1 + c_i h a_i),
+    so |y_i| <= Q(hK) |r| <= rho, which licenses the bound on g at every
+    stage.  The linear step's stages k'_i obey the same recursion with L in
+    place of K (call it b_i), and e_i = k_i - k'_i obeys |e_1| = |g(r)| <=
+    (a_1 - b_1) |r| and |e_{i+1}| <= L c_i h |e_i| + delta |y_{i+1}|, which
+    is (a_{i+1} - b_{i+1}) |r| by the same induction.  Hence
+    S(r) = Mr + (h/6)(e_1 + 2 e_2 + 2 e_3 + e_4), and the weighted sum of
+    a_i - b_i is P(hK) - P(hL).
+
+    Capture is allowed when that factor is at most 1 - 1e-9: the norm then
+    falls at every step, with room for rounding, so a row inside the ball
+    still has norm below tau at t_final, and `converged` flags it as a run
+    without capture would.  ||.||_2 is bounded by `_norm2_bound`; delta is
+    sum_{k>=2} |p_k| rho^(k-1) for a polynomial and |p1| p2^3 rho^2 / 3 for
+    p1 tanh(p2 r), since 1 - tanh(u)/u <= u^2/3.  Every other kind (the
+    sigmoid) is refused, and so is any origin whose linear step does not
+    contract (||M||_2 >= 1): an unstable one, or a stiff one where RK4
+    itself diverges (h |f'(0)| past about 2.79).
+    """
+    if not isinstance(f, (Polynomial, ScaledTanh)):
+        return 0.0
+    eye = np.eye(network.m)
+    hj = dt * network.a + (dt * float(f.derivative(0.0))) * eye
+    step = eye + hj / 4.0
+    for k in (3.0, 2.0, 1.0):  # Horner: M = I + hJ (I + hJ/2 (I + hJ/3 (I + hJ/4)))
+        step = eye + (hj @ step) / k
+    hl = _norm2_bound(hj)
+    rho = 2.0 * CONVERGED_NORM * _stage_poly(hl)
+    if isinstance(f, ScaledTanh):
+        delta = abs(f.p1) * f.p2 * f.p2 * f.p2 * rho * rho / 3.0
+    else:
+        delta = 0.0
+        for p in reversed(f.coeffs[1:]):
+            delta = (delta + abs(p)) * rho
+    hk = hl + dt * delta
+    factor = _norm2_bound(step) + _rk4_poly(hk) - _rk4_poly(hl)
+    if factor <= 1.0 - 1e-9 and _stage_poly(hk) <= 1.5 * _stage_poly(hl):
+        return CONVERGED_NORM
+    return 0.0
+
+
 def converged(
     network: ReservoirNetwork, f: NodalDynamics, initials, t_final: float, dt: float
 ) -> np.ndarray:
     """Per initial condition, whether the unforced trajectory's norm at
-    t_final is below CONVERGED_NORM; a diverged (non-finite) row is not."""
-    finals = simulate_unforced(network, f, initials, t_final, dt)
+    t_final is below CONVERGED_NORM; a diverged (non-finite) row is not.
+    A row stops stepping once it enters that ball, when `_capture_radius`
+    proves it cannot leave."""
+    finals = simulate_unforced(
+        network, f, initials, t_final, dt, capture=_capture_radius(network, f, dt)
+    )
     return np.linalg.norm(finals, axis=1) < CONVERGED_NORM
 
 
@@ -463,8 +556,8 @@ def basin_verify(
     the unforced dynamics, and returns the fraction that `converged`.
     Divergence counts as non-converging, never as an error.
     """
-    if not c > 0:
-        raise ValueError(f"radius must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {c}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     m = network.m

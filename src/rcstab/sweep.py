@@ -251,10 +251,12 @@ def basin_map(
     """Convergence map of the unforced two-node system on a rectangle.
 
     A grid point is marked by `stability.converged`; divergence simply marks
-    it as non-converged.
+    it as non-converged.  The window's four bounds must be finite.
     """
     if network.m != 2:
         raise ConfigError("basin maps are a two-node visual verification tool")
+    if not np.all(np.isfinite(window)):
+        raise ConfigError(f"basin window bounds must be finite, got {window}")
     (r1_lo, r1_hi), (r2_lo, r2_hi) = window
     r1 = np.linspace(r1_lo, r1_hi, resolution)
     r2 = np.linspace(r2_lo, r2_hi, resolution)

@@ -1,6 +1,7 @@
 """Command-line interface: configs, outputs, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -329,6 +330,8 @@ class TestBasinCommand:
             {"dt": 0},
             {"dt": -0.02},
             {"t_final": -5},
+            {"t_final": 1e308, "dt": 1e-10},
+            {"window": [[-math.inf, 4], [-4, 4]], "resolution": 3},
         ],
     )
     def test_malformed_basin_value_exits_2(self, tmp_path, basin):

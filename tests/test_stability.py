@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rcstab as rc
 from rcstab import stability
@@ -556,6 +558,12 @@ class TestBasinVerify:
         with pytest.raises(ValueError, match="n_samples"):
             rc.basin_verify(net, f, 0.5, 0, seed=1)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_radius(self, two_node_system, c):
+        net, f = two_node_system
+        with pytest.raises(ValueError, match="radius"):
+            rc.basin_verify(net, f, c, 10, seed=1)
+
     def test_soundness_on_random_systems(self):
         # the theorem's conclusion: every certified ball is inside the basin
         rng = np.random.default_rng(14)
@@ -618,7 +626,14 @@ class TestSimulateUnforced:
 
     @pytest.mark.parametrize(
         "t_final, dt",
-        [(1.0, 0.0), (1.0, -0.02), (-5.0, 0.02), (1.0, math.nan), (math.inf, 0.02)],
+        [
+            (1.0, 0.0),
+            (1.0, -0.02),
+            (-5.0, 0.02),
+            (1.0, math.nan),
+            (math.inf, 0.02),
+            (1e308, 1e-10),  # the step count overflows
+        ],
     )
     def test_rejects_bad_step(self, two_node_system, t_final, dt):
         net, f = two_node_system
@@ -699,6 +714,15 @@ class TestRetiredRows:
         assert np.all(np.linalg.norm(finals, axis=1) < stability.CONVERGED_NORM)
         assert counts == [900] * (4 * 2500)
 
+    def test_converged_retires_converging_rows(self, two_node_system):
+        net, _ = two_node_system
+        f, counts = self.counting((-3.0, 4.0, -1.0))
+        flags = stability.converged(net, f, self.grid(30, 0.7), 50.0, 0.02)
+        assert np.all(flags)
+        # every row is captured within the first tenth of the 2,500 steps
+        assert counts[0] == 900
+        assert len(counts) < 4 * 250
+
     def test_error_in_f_reaches_caller(self, two_node_system):
         net, _ = two_node_system
 
@@ -721,6 +745,76 @@ class TestRetiredRows:
         assert min(counts) < 1500  # rows retire from both blocks
         second = stability.simulate_unforced(net, f, initials, 50.0, 0.02)
         assert first.tobytes() == second.tobytes()
+
+
+class TestCapture:
+    """`converged` stops a row once it enters a ball the step map provably
+    keeps; its flags stay those of a run without capture."""
+
+    @staticmethod
+    def uncaptured_flags(net, f, initials, t_final=50.0, dt=0.02):
+        finals = stability.simulate_unforced(net, f, initials, t_final, dt)
+        return np.linalg.norm(finals, axis=1) < stability.CONVERGED_NORM
+
+    def test_two_node_grid_matches_uncaptured(self, two_node_system):
+        net, f = two_node_system
+        assert stability._capture_radius(net, f, 0.02) == stability.CONVERGED_NORM
+        initials = TestRetiredRows.grid(100, 4.0)
+        flags = stability.converged(net, f, initials, 50.0, 0.02)
+        assert np.array_equal(flags, self.uncaptured_flags(net, f, initials))
+        assert 0 < flags.sum() < len(flags)
+
+    @pytest.mark.parametrize("m, seed", [(5, 0), (20, 1)])
+    def test_random_batch_matches_uncaptured(self, m, seed):
+        net = rc.construct_adjacency(m, seed=seed, input_coupling="signs")
+        assert stability._capture_radius(net, CUBIC, 0.02) == stability.CONVERGED_NORM
+        initials = np.random.default_rng(seed).normal(size=(1000, m))
+        flags = stability.converged(net, CUBIC, initials, 50.0, 0.02)
+        assert np.array_equal(flags, self.uncaptured_flags(net, CUBIC, initials))
+        assert 0 < flags.sum() < len(flags)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            rc.Polynomial((-200.0,)),  # stiff: RK4 at dt = 0.02 diverges
+            rc.Polynomial((0.5, 0.0, -1.0)),  # unstable origin
+            rc.Sigmoid(1.0, 1.0),
+            rc.ScaledTanh(-1e-4, 1e4),  # saturates inside the ball
+        ],
+    )
+    def test_refused_and_flags_unchanged(self, two_node_system, f):
+        net, _ = two_node_system
+        assert stability._capture_radius(net, f, 0.02) == 0.0
+        initials = np.vstack([TestRetiredRows.grid(10, 1.0), [[1e-5, 0.0]]])
+        flags = stability.converged(net, f, initials, 10.0, 0.02)
+        assert np.array_equal(flags, self.uncaptured_flags(net, f, initials, 10.0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+        coeffs=st.tuples(st.floats(-6.0, -0.5), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        dt=st.floats(1e-3, 0.4),
+        directions=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6
+        ),
+    )
+    def test_ball_is_kept_by_the_reference_loop(self, a, coeffs, dt, directions):
+        net = rc.ReservoirNetwork(a=np.reshape(a, (2, 2)), w=np.zeros(2))
+        f = rc.Polynomial(coeffs)
+        tau = stability._capture_radius(net, f, dt)
+        assume(tau > 0)
+        initials = np.array(directions)
+        norms = np.linalg.norm(initials, axis=1, keepdims=True)
+        assume(np.all(norms > 1e-3))
+        # on the sphere of radius tau, from just inside
+        state = initials / norms * (tau * (1.0 - 1e-12))
+        assume(np.all(np.linalg.norm(state, axis=1) < tau))
+        for _ in range(10):  # 500 steps, checked every 50
+            previous = np.linalg.norm(state, axis=1)
+            state = reference_unforced(net, f, state, 50 * dt, dt)
+            now = np.linalg.norm(state, axis=1)
+            assert np.all(now < tau)
+            assert np.all(now <= previous)
 
 
 class TestAnalyzeDispatch:

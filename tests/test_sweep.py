@@ -280,6 +280,12 @@ class TestBasinMap:
         result = basin_map(net, f, window=((-4.0, 4.0), (-4.0, 4.0)), resolution=12)
         assert np.any(result.converged) and not np.all(result.converged)
 
+    @pytest.mark.parametrize("bound", [-math.inf, math.inf, math.nan])
+    def test_rejects_non_finite_window(self, two_node_system, bound):
+        net, f = two_node_system
+        with pytest.raises(ConfigError, match="finite"):
+            basin_map(net, f, window=((bound, 4.0), (-4.0, 4.0)), resolution=3)
+
     def test_requires_two_nodes(self, ensemble_network):
         with pytest.raises(ConfigError):
             basin_map(ensemble_network, rc.Polynomial((-3.0,)))
