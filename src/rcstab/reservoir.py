@@ -6,12 +6,15 @@ recorded node states (plus a ones column) into the regression matrix, and
 fit the readout by minimum-norm least squares.  The training error is the
 spread of the residual divided by the spread of the target.
 
-One kernel, `drive_cells`, drives every run: it steps several cells of one
-network as the rows of one state, in place, and writes each cell's
-post-transient rows straight into its regression matrix.  `drive_continuous`
-and `drive_discrete` are its one-cell uses.  `train` drives cells through it
+One kernel, `drive_cells`, drives every run: it steps up to SLOTS cells of
+one network as the rows of one state, in place, and writes each cell's
+post-transient rows straight into its regression matrix.  The state is
+SLOTS rows high however many cells it holds, so each stage's coupling is
+one matrix product of a fixed shape, and a cell gets the same bits in any
+slot, beside any other cell or alone.  `drive_continuous` and
+`drive_discrete` are its one-cell uses.  `train` drives cells through it
 and fits each readout: the train command passes one cell, and
-`sweep.run_sweep` a realization's cells two at a time.
+`sweep.run_sweep` a realization's cells SLOTS at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ DIVERGENCE_THRESHOLD = 1e6
 DRIVE_BLOCK = 64
 #: relative singular-value cutoff defining the pseudo-inverse rank
 SVD_CUTOFF = 1e-12
+#: rows of the state that `drive_cells` steps, whatever the number of sinks.
+#: Each slot keeps an Omega of n_keep x (m + 1) floats alive: the
+#: benchmark's cubic-error-map round (m = 100, 12,000 samples, 2 cores,
+#: 2 runs each) peaked at 53.5 MB with one slot, 61.3 MB with two and
+#: 69.4 MB with three, and took 3.49-3.69 s, 2.39-2.80 s and 1.66-2.22 s.
+#: A third slot would gain speed for 8 MB, 13% of the peak.
+SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -92,11 +102,14 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
     cells yields (key, f) pairs whose f share one kind and one parameter
     count.  It is drawn from when a slot is free, so the work that makes a
     cell runs as the cell enters its slot.  Slot j holds its cell as row j
-    of a (slots, m) state that starts at `initial` (zeros by default) and
-    steps once per input sample: by `rk4_steps` with step dt for
-    r' = f(r) + A r + w s (continuous time, the input held over each step),
-    or by the map r <- f(r) + A r + w s (discrete time).  Each row sees the
-    same operations, in the same order, as a cell driven alone.
+    of a (SLOTS, m) state, whatever the number of sinks (at most SLOTS).
+    A cell's row starts at `initial` (zeros by default) and steps once per
+    input sample: by `rk4_steps` with step dt for r' = f(r) + A r + w s
+    (continuous time, the input held over each step), or by the map
+    r <- f(r) + A r + w s (discrete time).  Each stage couples the whole
+    state with one product r @ A^T, whose rounding depends on its shape
+    only; so a row's bits do not depend on its slot, on the other rows or
+    on the number of sinks.  An idle row, and its parameters, stay zero.
 
     Row n of a cell's states, the state after input n, is written to row
     n - first of its slot's sink, in the first m columns, for n in
@@ -114,29 +127,31 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
         raise ValueError(f"time_kind must be continuous or discrete: {time_kind!r}")
     if time_kind == "continuous" and not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if len(sinks) > SLOTS:
+        raise ValueError(f"need at most {SLOTS} sinks, got {len(sinks)}")
     s = np.asarray(s, dtype=float)
-    a, w, m = network.a, network.w, network.m
+    w, m = network.w, network.m
+    a_t = np.ascontiguousarray(network.a.T)
     start = np.zeros(m) if initial is None else np.array(initial, dtype=float)
-    n_slots, total = len(sinks), s.shape[0]
-    y = np.zeros((n_slots, m))
+    total = s.shape[0]
+    y = np.zeros((SLOTS, m))
     coupled = np.zeros_like(y)
     drive = np.zeros_like(y)
-    block = np.empty((DRIVE_BLOCK, n_slots, m))
+    block = np.empty((DRIVE_BLOCK, SLOTS, m))
     drives = np.zeros_like(block)
     cells = iter(cells)
-    keys, pos, live = [None] * n_slots, [0] * n_slots, []
+    keys, pos, live = [None] * SLOTS, [0] * SLOTS, []
     nodal, params = None, None
 
     def field(_t, r, out):
         nodal.evaluate(params, r, out)
-        for j in live:
-            np.dot(a, r[j], out=coupled[j])
+        np.matmul(r, a_t, out=coupled)
         out += coupled
         out += drive
 
     def refill():
         nonlocal nodal, params
-        for j in range(n_slots):
+        for j in range(len(sinks)):
             if j in live:
                 continue
             cell = next(cells, None)
@@ -144,10 +159,12 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
                 return
             keys[j], f = cell
             if nodal is None:
-                nodal, params = f, np.zeros((len(f.params()), n_slots, m))
-            # whole rows, not (slots, 1) columns: numpy broadcasts a column
-            # at twice the cost of an operand of the state's own shape
-            params[:, j] = np.array(f.params())[:, None]
+                # whole rows, not (SLOTS, 1) columns: numpy broadcasts a
+                # column at twice the cost of an operand of the state's shape
+                nodal = f
+                params = tuple(np.zeros((SLOTS, m)) for _ in f.params())
+            for row, value in zip(params, f.params(), strict=True):
+                row[j] = value
             y[j] = start
             pos[j] = 0
             live.append(j)
@@ -180,10 +197,11 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
             pos[j] = p + steps
             if bad.size or pos[j] == total:
                 live.remove(j)
-                # an idle row is still stepped, with its last cell's
-                # parameters, and ignored until refill sets its next start;
-                # zeroing keeps a diverged cell's inf and nan out of it
-                y[j] = coupled[j] = drives[:, j] = 0.0
+                # a zero row with zero parameters steps to zero: it keeps a
+                # diverged cell's inf and nan out until refill sets its start
+                y[j] = drives[:, j] = 0.0
+                for row in params:
+                    row[j] = 0.0
                 yield keys[j], sinks[j], (p + good if bad.size else None)
         refill()
 

@@ -5,10 +5,11 @@ A sweep is given its networks, one per realization (`SweepConfig.networks`);
 it builds none itself, so the boundary curve reads the realization-0 network
 the map ran on.  The cells of one realization are trained SLOTS at a time,
 as rows of one state, by `reservoir.train`, the pipeline the train command
-uses for its one cell; they are taken in canonical order (x-major, then y),
-and realizations follow one another.  Each cell is analyzed
-(`stability.analyze`) as it enters a slot, and the records come back in
-canonical order (x-major, then y, then realization).
+uses for its one cell in a state of the same height, so a cell's delta_rc
+is the one the train command gives it.  Cells are taken in canonical order
+(x-major, then y), and realizations follow one another.  Each cell is
+analyzed (`stability.analyze`) as it enters a slot, and the records come
+back in canonical order (x-major, then y, then realization).
 """
 
 from __future__ import annotations
@@ -24,16 +25,10 @@ from . import reservoir, stability
 from .dynamics import NodalDynamics, with_param
 from .errors import ConfigError, RcstabError
 from .network import ReservoirNetwork, alpha_max
-from .reservoir import RuntimeParams
+from .reservoir import SLOTS, RuntimeParams
 from .signals import SignalSpec
 
 SWEEP_CSV_HEADER = "x,y,realization,regime,c_max,delta_rc,diverged,seed"
-#: cells of one realization driven together.  Each slot keeps an Omega of
-#: n_keep x (m + 1) floats alive: the benchmark's cubic map (m = 100,
-#: 12,000 samples) peaked at 53.4 MB with one slot, 61.1 MB with two and
-#: 69.1 MB with three, against 62.6 MB for the earlier one-cell drive, and
-#: its round took 4.56 s with two slots against 5.84 s with one (2 cores).
-SLOTS = 2
 #: failures that stay local to their cell, recorded with regime "error"
 _CELL_ERRORS = (RcstabError, ValueError, OverflowError, np.linalg.LinAlgError)
 

@@ -331,6 +331,7 @@ class TestBasinCommand:
             {"dt": -0.02},
             {"t_final": -5},
             {"t_final": 1e308, "dt": 1e-10},
+            {"t_final": 1e15, "dt": 1e-5},
             {"window": [[-math.inf, 4], [-4, 4]], "resolution": 3},
         ],
     )

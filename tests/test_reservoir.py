@@ -97,10 +97,19 @@ def reference_raw(f, r):
     return f.p1 / (1.0 + np.exp(-(f.p2 * r)))
 
 
+def reference_coupling(a_t, y):
+    """A y as row 0 of the (SLOTS, m) product that `drive_cells` takes, the
+    other rows zero: the product's rounding depends on its shape."""
+    padded = np.zeros((rc.reservoir.SLOTS, len(y)))
+    padded[0] = y
+    return (padded @ a_t)[0]
+
+
 def reference_drive(net, f, s, time_kind, dt, initial):
     """The one-cell drive loop that `drive_cells` replaced, kept as its
-    reference: states up to the divergence step, and that step."""
-    a, w = net.a, net.w
+    reference with the coupling of `reference_coupling`: states up to the
+    divergence step, and that step."""
+    a_t, w = np.ascontiguousarray(net.a.T), net.w
     r = np.zeros(net.m) if initial is None else np.array(initial, dtype=float)
     states = np.empty((len(s), net.m))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,7 +117,7 @@ def reference_drive(net, f, s, time_kind, dt, initial):
             drive = w * s[n]
 
             def rhs(y):
-                return reference_raw(f, y) + a @ y + drive
+                return reference_raw(f, y) + reference_coupling(a_t, y) + drive
 
             if time_kind == "discrete":
                 r = rhs(r)
@@ -169,6 +178,38 @@ class TestDriveCells:
             assert got == step
             kept = states[first:]
             assert np.array_equal(rows[: len(kept)], kept)
+
+    @pytest.mark.parametrize(
+        "time_kind, cell, diverging",
+        [
+            # (-3, 0, 2) diverges at step 624 and (0, 0, 3) at step 4, both
+            # inside a check block
+            ("continuous", rc.Polynomial((-3.0, 1.0, -1.0)), rc.Polynomial((-3.0, 0.0, 2.0))),
+            ("discrete", rc.Polynomial((-0.3, 0.0, 0.0)), rc.Polynomial((0.0, 0.0, 3.0))),
+        ],
+    )
+    def test_rows_do_not_depend_on_the_slot(
+        self, ensemble_network, lorenz_pair_short, time_kind, cell, diverging
+    ):
+        s, m = lorenz_pair_short.input, ensemble_network.m
+
+        def rows(cells, n_sinks):
+            sinks = [np.full((len(s), m), np.nan) for _ in range(n_sinks)]
+            ended = {}
+            for key, sink, step in drive_cells(
+                ensemble_network, cells, s, time_kind, 0.02, sinks
+            ):
+                ended[key] = (sink.copy(), step)
+            return ended
+
+        alone, step = rows([("cell", cell)], 1)["cell"]  # the other row idle
+        assert step is None
+        for cells in ([("cell", cell), ("bad", diverging)],
+                      [("bad", diverging), ("cell", cell)]):
+            ended = rows(cells, 2)
+            assert ended["bad"][1] is not None and ended["bad"][1] % 64
+            assert ended["cell"][1] is None
+            assert ended["cell"][0].tobytes() == alone.tobytes()
 
     def test_one_cell_drives_match(self, ensemble_network, lorenz_pair_short):
         s, initial = lorenz_pair_short.input, np.full(100, 0.1)

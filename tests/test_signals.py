@@ -12,7 +12,33 @@ from rcstab.signals import (
     integrate_lorenz,
     make_signal_pair,
     normalize,
+    rk4_steps,
 )
+
+
+def reference_lorenz(
+    n_steps, dt=0.02, initial=(1.0, 1.0, 1.0), transient_steps=5000,
+    sigma=10.0, rho=28.0, beta=8.0 / 3.0,
+):
+    """`integrate_lorenz` as `rk4_steps` over a numpy 3-vector: the samples,
+    or the step at which the state stopped being finite."""
+
+    def deriv(_t, state, out):
+        x, y, z = state.tolist()
+        out[0] = sigma * (y - x)
+        out[1] = x * (rho - z) - y
+        out[2] = x * y - beta * z
+
+    y = np.array(initial, dtype=float)
+    samples = np.empty((n_steps, 3))
+    stepper = rk4_steps(deriv, y, dt)
+    for k in range(transient_steps + n_steps):
+        if k >= transient_steps:
+            samples[k - transient_steps] = y
+        next(stepper)
+        if not np.all(np.isfinite(y)):
+            return k
+    return samples
 
 
 class TestNormalize:
@@ -84,6 +110,34 @@ class TestLorenz:
             traj = integrate_lorenz(n_steps=1, dt=1.0 / n, transient_steps=n)
             err.append(np.linalg.norm(traj.samples[0] - end_ref))
         assert err[0] / err[1] >= 8.0
+
+
+class TestLorenzMatchesRk4Steps:
+    """The Lorenz loop in Python floats against `rk4_steps`, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_steps": 1200},
+            {"n_steps": 1200, "transient_steps": 0},
+            {"n_steps": 1},
+            {"n_steps": 1, "transient_steps": 0},
+            {"n_steps": 700, "dt": 0.013, "initial": (0.3, -2, 7.5), "transient_steps": 300},
+            {"n_steps": 700, "sigma": 9.5, "rho": 35, "beta": 2.5, "transient_steps": 300},
+        ],
+    )
+    def test_samples_identical(self, kwargs):
+        got = integrate_lorenz(**kwargs).samples
+        assert got.tobytes() == reference_lorenz(**kwargs).tobytes()
+
+    @pytest.mark.parametrize("transient_steps", [0, 100])
+    def test_diverges_at_the_same_step(self, transient_steps):
+        kwargs = {"n_steps": 3000, "dt": 0.15, "transient_steps": transient_steps}
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = reference_lorenz(**kwargs)
+        assert isinstance(step, int)
+        with pytest.raises(IntegrationDivergedError, match=f"at step {step} "):
+            integrate_lorenz(**kwargs)
 
 
 class TestDuffing:

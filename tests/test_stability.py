@@ -633,6 +633,7 @@ class TestSimulateUnforced:
             (1.0, math.nan),
             (math.inf, 0.02),
             (1e308, 1e-10),  # the step count overflows
+            (1e15, 1e-5),  # 1e20 steps, past MAX_STEPS
         ],
     )
     def test_rejects_bad_step(self, two_node_system, t_final, dt):
@@ -769,6 +770,21 @@ class TestCapture:
         net = rc.construct_adjacency(m, seed=seed, input_coupling="signs")
         assert stability._capture_radius(net, CUBIC, 0.02) == stability.CONVERGED_NORM
         initials = np.random.default_rng(seed).normal(size=(1000, m))
+        flags = stability.converged(net, CUBIC, initials, 50.0, 0.02)
+        assert np.array_equal(flags, self.uncaptured_flags(net, CUBIC, initials))
+        assert 0 < flags.sum() < len(flags)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shipped_recipe_matches_uncaptured(self, seed):
+        # m = 100 as the shipped sweeps build it: ||M||_2 is about 0.955, and
+        # sqrt(||M||_1 ||M||_inf), the earlier bound, read 1.02-1.04 here
+        net = rc.construct_adjacency(100, seed=seed, input_coupling="signs")
+        assert stability._capture_radius(net, CUBIC, 0.02) == stability.CONVERGED_NORM
+        rng = np.random.default_rng(seed)
+        initials = rng.normal(size=(100, 100))
+        initials *= rng.uniform(0.5, 4.0, size=(100, 1)) / np.linalg.norm(
+            initials, axis=1, keepdims=True
+        )
         flags = stability.converged(net, CUBIC, initials, 50.0, 0.02)
         assert np.array_equal(flags, self.uncaptured_flags(net, CUBIC, initials))
         assert 0 < flags.sum() < len(flags)
