@@ -163,13 +163,11 @@ def integrate_lorenz(
     x, y, z = np.asarray(initial, dtype=float).tolist()
     samples = np.empty((n_steps, 3))
     # Python floats: the IEEE operations of `rk4_steps`, in its order, without
-    # a numpy dispatch per operation; the flat view writes a sample as floats
-    flat = memoryview(samples).cast("B").cast("d")
+    # a numpy dispatch per operation
     t = 0.0
     for k in range(transient_steps + n_steps):
         if k >= transient_steps:
-            i = 3 * (k - transient_steps)
-            flat[i], flat[i + 1], flat[i + 2] = x, y, z
+            samples[k - transient_steps] = x, y, z
         a1, b1, c1 = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
         xs, ys, zs = a1 * half + x, b1 * half + y, c1 * half + z
         a2, b2, c2 = sigma * (ys - xs), xs * (rho - zs) - ys, xs * ys - beta * zs

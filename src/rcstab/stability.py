@@ -65,9 +65,6 @@ SPLIT_ELEMENTS = 30_000
 SETTLE_CHECK = 64
 #: most RK4 steps that `step_count` accepts for one unforced run
 MAX_STEPS = 10**8
-#: unit roundoff of a float, and the squarings of `_norm2_bound`
-_UNIT = 2.0**-53
-_SQUARINGS = 5
 
 
 class Regime(str, enum.Enum):
@@ -478,26 +475,10 @@ def _stage_poly(z: float) -> float:
     return 1.0 + z * (1.0 + z * (0.5 + z * 0.25))
 
 
-def _norm_1inf(x, gam: float) -> float:
-    """nu(x) = max(||x||_1, ||x||_inf), times 1 + gam to cover the rounding
-    of its sums (see `_capture_radius`)."""
+def _norm2_bound(x) -> float:
+    """sqrt(||x||_1 ||x||_inf), an upper bound on ||x||_2 without LAPACK."""
     x = np.abs(x)
-    return (1.0 + gam) * max(float(x.sum(axis=0).max()), float(x.sum(axis=1).max()))
-
-
-def _norm2_bound(n, err: float, gam: float) -> float:
-    """An upper bound on ||x||_2 for every x with nu(x - n) <= err, without
-    LAPACK: ||x||_2 <= ||n||_2 + err, and for C = n^T n,
-    ||n||_2^2 = rho(C) = rho(C^(2^j))^(1/2^j) <= nu(C^(2^j))^(1/2^j).
-    C^(2^j) is formed by _SQUARINGS squarings, each product rounding by at
-    most gam times the product of its factors' nu (see `_capture_radius`)."""
-    b = n.T @ n
-    off = gam * _norm_1inf(n, gam) ** 2  # >= nu(b - n^T n)
-    for _ in range(_SQUARINGS):
-        nb = _norm_1inf(b, gam)
-        b = b @ b
-        off = off * (2.0 * nb + off) + gam * nb * nb
-    return (_norm_1inf(b, gam) + off) ** (0.5 ** (_SQUARINGS + 1)) + err
+    return math.sqrt(float(x.sum(axis=0).max()) * float(x.sum(axis=1).max()))
 
 
 def _capture_radius(network: ReservoirNetwork, f: NodalDynamics, dt: float) -> float:
@@ -523,54 +504,24 @@ def _capture_radius(network: ReservoirNetwork, f: NodalDynamics, dt: float) -> f
     S(r) = Mr + (h/6)(e_1 + 2 e_2 + 2 e_3 + e_4), and the weighted sum of
     a_i - b_i is P(hK) - P(hL).
 
-    Rounding.  The matrices are formed in floating point with unit
-    u = 2^-53, and bounded in nu(X) = max(||X||_1, ||X||_inf), which is
-    submultiplicative, equal for X and X^T and |X|, and at least ||X||_2.
-    A computed product of inner size m errs by at most gamma_m |X| |Y|
-    elementwise, whatever the summation order, so by gam nu(X) nu(Y) in nu,
-    with gam = (m + 2) u / (1 - (m + 2) u) >= gamma_m; a computed row or
-    column sum of |X| is at least (1 - gamma_m) times the exact one, so
-    (1 + gam) times it bounds nu(X).  The computed H of hJ errs by at most
-    2u (1 + u) (|dt A| + |dt f'(0)| I) elementwise, so eta = 3u (nu(dt A)
-    + |dt f'(0)|) bounds nu(H - hJ), and hL = nu(H) + eta >= ||hJ||_2.
-    Horner forms N, the computed M, by S_k = I + H S_{k+1} / k from
-    S_5 = I; with t >= nu(H), s >= nu of the computed S_{k+1} and e >= nu
-    of its error, the computed S_k errs by at most
-    u + (t e + eta (s + e) + (gam + 3u) t s) / k: the product's gam t s,
-    the division's and the sum's u each, and the exact error
-    H' S' - hJ S = H'(S' - S) + (H' - hJ) S.  So ||M||_2 <= ||N||_2 + e_1,
-    and `_norm2_bound` bounds ||N||_2: its squarings B' = fl(B B) of the
-    computed B, whose exact counterpart C has nu(C - B) <= d, give
-    nu(C^2 - B') <= d (2 nu(B) + d) + gam nu(B)^2.
-
-    Capture is allowed when the factor is at most 1 - 1e-9: the norm then
-    falls at every step, with room for the rounding of the step itself and
-    of the scalar arithmetic on these bounds, a few u each, so a row inside
-    the ball still has norm below tau at t_final, and `converged` flags it
-    as a run without capture would.  delta is sum_{k>=2} |p_k| rho^(k-1)
-    for a polynomial and |p1| p2^3 rho^2 / 3 for p1 tanh(p2 r), since
-    1 - tanh(u)/u <= u^2/3.  Every other kind (the sigmoid) is refused, and
-    so is any origin whose linear step does not contract (||M||_2 >= 1): an
-    unstable one, or a stiff one where RK4 itself diverges (h |f'(0)| past
-    about 2.79).
+    Capture is allowed when that factor is at most 1 - 1e-9: the norm then
+    falls at every step, with room for rounding, so a row inside the ball
+    still has norm below tau at t_final, and `converged` flags it as a run
+    without capture would.  ||.||_2 is bounded by `_norm2_bound`; delta is
+    sum_{k>=2} |p_k| rho^(k-1) for a polynomial and |p1| p2^3 rho^2 / 3 for
+    p1 tanh(p2 r), since 1 - tanh(u)/u <= u^2/3.  Every other kind (the
+    sigmoid) is refused, and so is any origin whose linear step does not
+    contract (||M||_2 >= 1): an unstable one, or a stiff one where RK4
+    itself diverges (h |f'(0)| past about 2.79).
     """
     if not isinstance(f, (Polynomial, ScaledTanh)):
         return 0.0
-    m = network.m
-    gam = (m + 2) * _UNIT / (1.0 - (m + 2) * _UNIT)
-    eye = np.eye(m)
-    scaled, hd = dt * network.a, dt * float(f.derivative(0.0))
-    hj = scaled + hd * eye
-    eta = 3.0 * _UNIT * (_norm_1inf(scaled, gam) + abs(hd))
-    t = _norm_1inf(hj, gam)
-    # Horner: M = I + hJ (I + hJ/2 (I + hJ/3 (I + hJ/4))), with the error
-    # bound e of each stage
-    step, err = eye + hj / 4.0, _UNIT * (1.0 + t / 4.0) + eta / 4.0
-    for k in (3.0, 2.0, 1.0):
-        s = _norm_1inf(step, gam)
+    eye = np.eye(network.m)
+    hj = dt * network.a + (dt * float(f.derivative(0.0))) * eye
+    step = eye + hj / 4.0
+    for k in (3.0, 2.0, 1.0):  # Horner: M = I + hJ (I + hJ/2 (I + hJ/3 (I + hJ/4)))
         step = eye + (hj @ step) / k
-        err = _UNIT + (t * err + eta * (s + err) + (gam + 3.0 * _UNIT) * t * s) / k
-    hl = t + eta
+    hl = _norm2_bound(hj)
     rho = 2.0 * CONVERGED_NORM * _stage_poly(hl)
     if isinstance(f, ScaledTanh):
         delta = abs(f.p1) * f.p2 * f.p2 * f.p2 * rho * rho / 3.0
@@ -579,7 +530,7 @@ def _capture_radius(network: ReservoirNetwork, f: NodalDynamics, dt: float) -> f
         for p in reversed(f.coeffs[1:]):
             delta = (delta + abs(p)) * rho
     hk = hl + dt * delta
-    factor = _norm2_bound(step, err, gam) + _rk4_poly(hk) - _rk4_poly(hl)
+    factor = _norm2_bound(step) + _rk4_poly(hk) - _rk4_poly(hl)
     if factor <= 1.0 - 1e-9 and _stage_poly(hk) <= 1.5 * _stage_poly(hl):
         return CONVERGED_NORM
     return 0.0

@@ -774,21 +774,6 @@ class TestCapture:
         assert np.array_equal(flags, self.uncaptured_flags(net, CUBIC, initials))
         assert 0 < flags.sum() < len(flags)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_shipped_recipe_matches_uncaptured(self, seed):
-        # m = 100 as the shipped sweeps build it: ||M||_2 is about 0.955, and
-        # sqrt(||M||_1 ||M||_inf), the earlier bound, read 1.02-1.04 here
-        net = rc.construct_adjacency(100, seed=seed, input_coupling="signs")
-        assert stability._capture_radius(net, CUBIC, 0.02) == stability.CONVERGED_NORM
-        rng = np.random.default_rng(seed)
-        initials = rng.normal(size=(100, 100))
-        initials *= rng.uniform(0.5, 4.0, size=(100, 1)) / np.linalg.norm(
-            initials, axis=1, keepdims=True
-        )
-        flags = stability.converged(net, CUBIC, initials, 50.0, 0.02)
-        assert np.array_equal(flags, self.uncaptured_flags(net, CUBIC, initials))
-        assert 0 < flags.sum() < len(flags)
-
     @pytest.mark.parametrize(
         "f",
         [
