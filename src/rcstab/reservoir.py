@@ -34,13 +34,22 @@ DIVERGENCE_THRESHOLD = 1e6
 DRIVE_BLOCK = 64
 #: relative singular-value cutoff defining the pseudo-inverse rank
 SVD_CUTOFF = 1e-12
+#: rows of the regression matrix that `fit_readout` factors at a time.  One
+#: fit of 10,000 x 101 on one thread took 58, 49, 35 and 33 ms with blocks
+#: of 64, 128, 256 and 512 rows (lstsq: 39 ms), and raised the peak RSS by
+#: 0.6, 0.9, 0.9 and 1.4 MB; the peak is what bounds SLOTS.
+QR_BLOCK = 256
 #: rows of the state that `drive_cells` steps, whatever the number of sinks.
-#: Each slot keeps an Omega of n_keep x (m + 1) floats alive: the
-#: benchmark's cubic-error-map round (m = 100, 12,000 samples, 2 cores,
-#: 2 runs each) peaked at 53.5 MB with one slot, 61.3 MB with two and
-#: 69.4 MB with three, and took 3.49-3.69 s, 2.39-2.80 s and 1.66-2.22 s.
-#: A third slot would gain speed for 8 MB, 13% of the peak.
-SLOTS = 2
+#: Each slot keeps an Omega of n_keep x (m + 1) floats alive, 8 MB at
+#: m = 100 with 10,000 kept samples.  The benchmark's cubic-error-map round
+#: (seed 5, one OpenBLAS thread, 2 runs each) peaked at 54.5 MB with two
+#: slots, 62.4 MB with three and 70.2 MB with four (two slots had peaked at
+#: 61.3 MB while the readout's lstsq copied Omega), and took 1.77-2.10 s,
+#: 1.50-1.74 s and 1.47-1.77 s.  Driving and fitting the map's nine cells
+#: alone took 1.27-1.30 s, 0.98-1.19 s and 0.97-1.21 s: its six full-length
+#: cells need three passes with two slots and two with three or four.  A
+#: fourth slot costs 8 MB, 13% of the peak, for no gain there.
+SLOTS = 3
 
 
 @dataclass(frozen=True)
@@ -266,18 +275,46 @@ def spread(x) -> float:
 
 
 def fit_readout(omega, g) -> TrainingResult:
-    """Minimum-norm least-squares readout via SVD with relative cutoff."""
+    """Minimum-norm least-squares readout, with singular values below
+    SVD_CUTOFF times the largest taken as zero.
+
+    [omega | g] is factored without an omega-sized copy: each block of
+    QR_BLOCK rows gets its own QR, and R factors covering equal numbers of
+    blocks are merged by a QR of the two stacked, as in the TSQR of
+    Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci. Comput. 34, 2012).
+    With the final R = [[R_o, z], [0, rho]], |omega k - g|^2 =
+    |R_o k - z|^2 + rho^2 and R_o has the singular values of omega, so
+    `lstsq` on R_o k = z gives omega's minimum-norm solution and cutoff.
+    fit and delta_rc come from omega @ k, the residual itself.
+    """
     omega = np.asarray(omega, dtype=float)
     g = np.asarray(g, dtype=float)
     if omega.shape[0] != g.shape[0]:
         raise ValueError(
             f"row mismatch: omega has {omega.shape[0]} rows, target {g.shape[0]}"
         )
-    k, *_ = np.linalg.lstsq(omega, g, rcond=SVD_CUTOFF)
-    fit = omega @ k
     denom = spread(g)
     if denom == 0.0:
         raise DegenerateTargetError("target sequence is constant")
+    n, p = omega.shape
+    # R factors of 1, 2, 4, ... blocks, like the digits of a binary counter:
+    # block i merges once per trailing one bit of i.  Stacking each block on
+    # one running R instead rounds that R once per block: where cond(omega)
+    # exceeds 1e12, delta_rc then moved by up to 7.6e-6 relative to lstsq
+    # on omega, against 3.1e-7 here.
+    done = []
+    for i, lo in enumerate(range(0, n, QR_BLOCK)):
+        block = np.column_stack([omega[lo : lo + QR_BLOCK], g[lo : lo + QR_BLOCK]])
+        r = np.linalg.qr(block, mode="r")
+        while i & 1:
+            r = np.linalg.qr(np.vstack([done.pop(), r]), mode="r")
+            i >>= 1
+        done.append(r)
+    r = done.pop()
+    while done:
+        r = np.linalg.qr(np.vstack([done.pop(), r]), mode="r")
+    k, *_ = np.linalg.lstsq(r[:, :p], r[:, p], rcond=SVD_CUTOFF)
+    fit = omega @ k
     return TrainingResult(
         omega=omega, k=k, delta_rc=spread(fit - g) / denom, fit=fit
     )

@@ -1,14 +1,21 @@
 """Driven simulation, regression matrix, readout fitting, training error."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg import lstsq as scipy_lstsq
 
 import rcstab as rc
 from rcstab.errors import DegenerateTargetError, TruncatedRunError
 from rcstab.reservoir import (
+    QR_BLOCK,
+    SVD_CUTOFF,
     build_omega,
     drive_cells,
     drive_continuous,
@@ -19,6 +26,8 @@ from rcstab.reservoir import (
 )
 
 ZERO_F = rc.Polynomial((0.0,))
+#: the directory this rcstab was imported from, for fresh subprocesses
+SRC = str(Path(rc.__file__).resolve().parent.parent)
 
 
 def single_node(w=1.0):
@@ -233,15 +242,21 @@ class TestTrain:
              [(-3.0, 1.0, -1.0), (-3.0, 0.0, 3.0), (-3.0, -2.0, -1.0), (-3.0, 0.5, -2.0)]]
 
     def test_slots_match_one_cell_at_a_time(self, ensemble_network, lorenz_pair_short):
-        net, rt = ensemble_network, self.RUNTIME
-        omegas = [rc.reservoir.omega_buffer(net.m, rt.n_keep) for _ in range(2)]
-        batched = {}
+        net, rt, slots = ensemble_network, self.RUNTIME, rc.reservoir.SLOTS
+        # twice as many cells as slots, so that every slot takes a second cell
+        cells = self.CELLS + [rc.Polynomial((-3.0, 0.25 * j, -1.5))
+                              for j in range(2 * slots - len(self.CELLS))]
+        omegas = [rc.reservoir.omega_buffer(net.m, rt.n_keep) for _ in range(slots)]
+        batched, fitted_in = {}, set()
         for key, step, fitted in train(
-            net, enumerate(self.CELLS), lorenz_pair_short, "continuous", rt, omegas
+            net, enumerate(cells), lorenz_pair_short, "continuous", rt, omegas
         ):
             batched[key] = (step, None if fitted is None else (fitted.delta_rc, fitted.k.copy()))
-        assert sorted(batched) == list(range(len(self.CELLS)))
-        for key, f in enumerate(self.CELLS):
+            if fitted is not None:
+                fitted_in.add(id(fitted.omega))
+        assert sorted(batched) == list(range(len(cells)))
+        assert fitted_in == {id(o) for o in omegas}
+        for key, f in enumerate(cells):
             ((_, step, fitted),) = train(net, [(None, f)], lorenz_pair_short, "continuous", rt)
             assert batched[key][0] == step
             if step is None:
@@ -352,6 +367,66 @@ class TestFitReadout:
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
             fit_readout(np.ones((5, 2)), np.ones(4))
+
+    @pytest.mark.parametrize("rows", [
+        3 * QR_BLOCK + 17,  # not a multiple of the block height
+        QR_BLOCK,  # one full block
+        QR_BLOCK - 5,  # one partial block
+        4,  # fewer rows than columns: the minimum-norm k is unique
+    ])
+    def test_block_edges_match_scipy(self, rows):
+        omega, rng = self._random_omega(9, n=rows, m=6)
+        g = rng.normal(size=rows)
+        fitted = fit_readout(omega, g)
+        k, *_ = scipy_lstsq(omega, g, cond=SVD_CUTOFF)
+        assert np.allclose(fitted.k, k, rtol=0.0, atol=1e-12 * np.linalg.norm(k))
+        assert np.array_equal(fitted.fit, omega @ fitted.k)
+
+    def test_matches_scipy_on_driven_omegas(self, ensemble_network, lorenz_pair_short):
+        """delta_rc as scipy's SVD solve gives it, on Omegas of real m = 100
+        drives: within 1e-6 relative, the benchmark's re-solve tolerance,
+        for p2 = 0, where cond(Omega) is about 2e11 (3.7e-8 measured), and
+        within 1e-9 for p2 != 0, where it is at most 1e9 (1.3e-10)."""
+        rt = rc.RuntimeParams(transient=200, n_keep=1300, dt=0.02)
+        g = lorenz_pair_short.target[rt.transient:]
+        cells = {(0.0, -3.0): 1e-6, (4.0, -3.0): 1e-9, (2.0, -1.0): 1e-9}
+        ended = train(ensemble_network, ((c, rc.Polynomial((-3.0, *c))) for c in cells),
+                      lorenz_pair_short, "continuous", rt)
+        for cell, step, fitted in ended:
+            assert step is None
+            omega = fitted.omega
+            k, *_ = scipy_lstsq(omega, g, cond=SVD_CUTOFF)
+            resolved = spread(omega @ k - g) / spread(g)
+            assert abs(fitted.delta_rc / resolved - 1.0) <= cells[cell], cell
+            assert (np.linalg.cond(omega) > 1e10) == (cell[0] == 0.0)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_no_omega_sized_copy(self):
+        """One fit of a 10,000 x 101 Omega raises the process's peak RSS by
+        less than a quarter of Omega.  An Omega-sized LAPACK copy, as
+        `np.linalg.lstsq` makes, shows here but not to tracemalloc.  The
+        peak is VmHWM, which exec resets: a child's ru_maxrss starts at the
+        RSS of the process that spawned it, so under pytest it reads no rise."""
+        probe = (
+            "import numpy as np\n"
+            "from rcstab.reservoir import fit_readout\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+            "rng = np.random.default_rng(0)\n"
+            "warm = rng.standard_normal((500, 101)); warm[:, 100] = 1.0\n"
+            "fit_readout(warm, rng.standard_normal(500))\n"
+            "omega = rng.standard_normal((10_000, 101)); omega[:, 100] = 1.0\n"
+            "g = rng.standard_normal(10_000)\n"
+            "before = peak()\n"
+            "fit_readout(omega, g)\n"
+            "print((peak() - before) * 1024 / omega.nbytes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert float(out.stdout) < 0.25, out.stdout
 
 
 class TestTrainingError:

@@ -12,6 +12,7 @@ from rcstab.errors import ConfigError, FixedPointError
 from rcstab.signals import SignalSpec
 from rcstab.sweep import (
     GridSpec,
+    SLOTS,
     RuntimeParams,
     BasinMap,
     SweepConfig,
@@ -198,12 +199,17 @@ class TestSweepContract:
                 assert rec.regime != "error" and np.isfinite(rec.delta_rc)
                 assert rec == ref
 
-    def test_memory_holds_two_omegas(self):
-        # six cells, but only the two slots' Omega buffers alive at once
+    def test_memory_holds_one_omega_per_slot(self):
+        # six cells, but only the slots' Omega buffers alive at once
         rt = RuntimeParams(transient=200, n_keep=2000, dt=0.02)
         cfg = small_config(grid=GridSpec(-2.0, 2.0, 3, -2.0, -1.0, 2), m=100, runtime=rt)
         omega_bytes = rt.n_keep * (100 + 1) * 8
         pair_bytes = 2 * (rt.transient + rt.n_keep) * 8
+        # the network, its spectrum, the kernel's work arrays and the
+        # readout's block QR; less than one Omega, so that one more live
+        # Omega breaks the bound
+        allowance = 1_500_000
+        assert allowance + pair_bytes < omega_bytes
         tracemalloc.start()
         try:
             records = run_sweep(cfg)
@@ -211,9 +217,7 @@ class TestSweepContract:
         finally:
             tracemalloc.stop()
         assert len(records) == 6
-        # a quarter Omega covers the network, its spectrum and the kernel's
-        # work arrays; one more live Omega would break the bound
-        assert peak <= 2.5 * omega_bytes + pair_bytes, peak / omega_bytes
+        assert peak <= SLOTS * omega_bytes + pair_bytes + allowance, peak / omega_bytes
 
 
 def boundary_config(grid):
