@@ -145,14 +145,17 @@ class Polynomial(NodalDynamics):
             if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
                 continue
             x = float(z.real)
-            for _ in range(8):  # Newton polish
-                d = float(np.polyval(slope, x))
-                if d == 0.0:
-                    break
-                step = float(np.polyval(desc, x)) / d
-                x -= step
-                if abs(step) <= _ROOT_TOL * max(1.0, abs(x)):
-                    break
+            with np.errstate(over="ignore", invalid="ignore"):  # a far root overflows
+                for _ in range(8):  # Newton polish
+                    d = float(np.polyval(slope, x))
+                    if d == 0.0:
+                        break
+                    step = float(np.polyval(desc, x)) / d
+                    x -= step
+                    if abs(step) <= _ROOT_TOL * max(1.0, abs(x)):
+                        break
+            if not np.isfinite(x):
+                x = float(z.real)
             if abs(x) > _ROOT_TOL and not any(
                 abs(x - y) <= 1e-9 * max(1.0, abs(x)) for y in polished
             ):
@@ -239,13 +242,19 @@ class Sigmoid(NodalDynamics):
         return (self.p1, self.p2)
 
     def evaluate(self, params, r, out):
+        """exp(-p2*r) overflows to inf where -p2*r passes about 709, which
+        makes f exactly 0; `raw` ignores that overflow, and the drive and
+        the unforced integrator step under their own np.errstate."""
         p1, p2 = params
         np.multiply(r, p2, out=out)
         np.negative(out, out=out)
-        with np.errstate(over="ignore"):
-            np.exp(out, out=out)
+        np.exp(out, out=out)
         out += 1.0
         return np.divide(p1, out, out=out)
+
+    def raw(self, r, out=None):
+        with np.errstate(over="ignore"):
+            return super().raw(r, out)
 
     def derivative(self, r):
         x = self.p2 * np.asarray(r, dtype=float)

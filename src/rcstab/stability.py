@@ -47,6 +47,12 @@ _CMAX_START = 1e-3
 #: residual (max norm) at which a fixed-point Newton leg stops, and its step cap
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
+#: a leg ends as failed once its residual 2-norm is above _FIXED_POINT_STALL_RATIO
+#: times its value _FIXED_POINT_STALL_ITERS iterations earlier.  Past a fold of
+#: the homotopy branch the damped steps creep; a failed leg's q is thrown away,
+#: so cutting a leg that would fail anyway leaves the path unchanged
+_FIXED_POINT_STALL_ITERS = 15
+_FIXED_POINT_STALL_RATIO = 0.9
 #: final-state norm below which an unforced trajectory counts as converged
 CONVERGED_NORM = 1e-4
 #: state elements (rows * m) per row block of `simulate_unforced`, which cuts
@@ -285,33 +291,45 @@ def _unshifted(f: NodalDynamics) -> ShiftedDynamics:
 def fixed_point(network: ReservoirNetwork, f: NodalDynamics) -> ShiftedDynamics:
     """Locate q* with f(q*) + A q* = q* and build the recentered view.
 
-    Damped Newton from the origin; a plain fixed-point iteration serves as a
-    fallback when a Newton step stalls.  Dynamics that already vanish at the
-    origin short-circuit to q* = 0.
+    A homotopy on the nodal-term strength t, each leg a damped Newton
+    iteration on t*f(q) + A q - q = 0 warm-started from the last solved t.
+    A step is an LU solve of the Jacobian; only a Jacobian that LAPACK finds
+    exactly singular takes a least-squares step instead, so the step stays
+    finite.  A leg whose residual stalls (_FIXED_POINT_STALL_ITERS) ends as
+    failed and the next leg tries half the remaining t.  Dynamics that
+    already vanish at the origin short-circuit to q* = 0.
     """
     m = network.m
     if f.origin_fixed():
         zeros = np.zeros(m)
         return ShiftedDynamics(f, zeros, zeros)
     a = network.a
-    eye = np.eye(m)
+    a_minus_eye = a - np.eye(m)
 
     def newton(q, t):
         """Damped Newton on t*f(q) + A q - q = 0 from a warm start.
 
-        Steps come from a least-squares solve so singular Jacobians (f'(q)
-        landing on an adjacency eigenvalue gap, e.g. the sigmoid at
-        p1*p2/4 = spectral abscissa) stay finite; the line search measures
-        the 2-norm, the only norm the Gauss-Newton direction is guaranteed
-        to descend.
+        The line search measures the 2-norm, which neither step raises to
+        first order: the LU step, nor the least-squares step taken where the
+        Jacobian is exactly singular (f'(q) landing on an adjacency
+        eigenvalue gap, e.g. the sigmoid at p1*p2/4 = spectral abscissa).
+        Every accepted step lowers the 2-norm, and the stall test reads it.
         """
         g = t * f.raw(q) + a @ q - q
+        norms = [math.inf] * _FIXED_POINT_STALL_ITERS  # then one per iteration
         for _ in range(_FIXED_POINT_MAX_ITER):
             if float(np.max(np.abs(g))) <= _FIXED_POINT_TOL:
                 break
-            jac = t * np.diag(np.asarray(f.derivative(q))) + a - eye
-            step, *_ = np.linalg.lstsq(jac, -g, rcond=None)
             norm2 = float(np.linalg.norm(g))
+            if norm2 > _FIXED_POINT_STALL_RATIO * norms[-_FIXED_POINT_STALL_ITERS]:
+                break
+            norms.append(norm2)
+            jac = a_minus_eye.copy()
+            jac.flat[:: m + 1] += t * f.derivative(q)
+            try:
+                step = np.linalg.solve(jac, -g)
+            except np.linalg.LinAlgError:  # exactly singular
+                step = np.linalg.lstsq(jac, -g, rcond=None)[0]
             damp, moved = 1.0, False
             for _ in range(40):
                 trial = q + damp * step
@@ -576,21 +594,35 @@ def basin_verify(
     return float(converged(network, f, radii * direction, t_final, dt).mean())
 
 
+def spectrum(network: ReservoirNetwork, time_kind: str) -> float | SpectralSummary:
+    """What the certificate of time_kind reads of the network's spectrum:
+    alpha_max for continuous time, the `critical_shifts` summary for
+    discrete time."""
+    if time_kind == "continuous":
+        return alpha_max(network.a)
+    if time_kind == "discrete":
+        return critical_shifts(network.a)
+    raise ValueError(f"time_kind must be continuous or discrete: {time_kind!r}")
+
+
 def analyze(
     network: ReservoirNetwork,
     f: NodalDynamics,
     time_kind: str,
+    spectral: float | SpectralSummary | None = None,
 ) -> StabilityReport:
-    """Full dispatch: spectral summary, fixed-point shift when needed, c_max."""
+    """Full dispatch: spectral summary, fixed-point shift when needed, c_max.
+
+    spectral is `spectrum(network, time_kind)`, computed here unless the
+    caller passes it (a sweep computes it once per network)."""
+    if time_kind == "continuous" and not f.origin_fixed():
+        raise ValueError(
+            "continuous-time analysis requires f(0) = 0 (polynomial/tanh kinds)"
+        )
+    if spectral is None:
+        spectral = spectrum(network, time_kind)
     if time_kind == "continuous":
-        if not f.origin_fixed():
-            raise ValueError(
-                "continuous-time analysis requires f(0) = 0 (polynomial/tanh kinds)"
-            )
-        return cmax_continuous(f, alpha_max(network.a))
-    if time_kind == "discrete":
-        spectral = critical_shifts(network.a)
-        if f.origin_fixed():
-            return cmax_discrete(f, spectral)
-        return cmax_discrete(fixed_point(network, f), spectral)
-    raise ValueError(f"time_kind must be continuous or discrete: {time_kind!r}")
+        return cmax_continuous(f, spectral)
+    if f.origin_fixed():
+        return cmax_discrete(f, spectral)
+    return cmax_discrete(fixed_point(network, f), spectral)

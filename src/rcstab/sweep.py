@@ -112,7 +112,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     that network's seed; a single signal pair drives every run.  The
     cells of a realization are trained SLOTS at a time by `reservoir.train`;
     a cell is made and analyzed as it enters a free slot, and its readout is
-    fitted as soon as its drive ends.  Per-cell failures, a realization
+    fitted as soon as its drive ends.  A realization's spectral summary is
+    computed once, at its first cell.  Per-cell failures, a realization
     whose spectrum fails included, are recorded in the cell with regime
     "error".  Records come back in canonical order.
     """
@@ -131,11 +132,17 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         )
 
     def cells(k, net):
+        spectral = None  # made at the first cell: the spectrum, or its error
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 try:
                     f = config.cell_dynamics(float(x), float(y))
-                    report = stability.analyze(net, f, config.time_kind)
+                    if spectral is None:
+                        spectral = _spectrum(net, config.time_kind)
+                    if isinstance(spectral, Exception):
+                        failed(i, j, k, spectral)
+                        continue
+                    report = stability.analyze(net, f, config.time_kind, spectral)
                 except _CELL_ERRORS as exc:
                     failed(i, j, k, exc)
                     continue
@@ -155,6 +162,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 seed=net.seed,
             )
     return [records[key] for key in sorted(records)]
+
+
+def _spectrum(net: ReservoirNetwork, time_kind: str):
+    """`stability.spectrum` of net, or the cell error it raised, which every
+    cell of the realization then records."""
+    try:
+        return stability.spectrum(net, time_kind)
+    except _CELL_ERRORS as exc:
+        return exc
 
 
 def check_boundary(config: SweepConfig, level) -> None:

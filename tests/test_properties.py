@@ -13,9 +13,10 @@ random polynomials, tanh, their views recentred on random points q
 """
 
 import math
+import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rcstab as rc
@@ -53,9 +54,16 @@ def assert_bracket_holds(f, c):
 
 
 @examples
+# h(r) = 10.9 r^2 + 6.7e-259 r^3 has a root at -1.6e259, where the Newton
+# polish overflows: the unpolished root stands, finite and without a warning
+@example(coeffs=[0.0, 0.0, 0.0, 3.63671875, 1.6795993070540364e-259], c=1.0)
 @given(coeffs=st.lists(coefficient, min_size=1, max_size=5), c=radius)
 def test_polynomial_bracket_bounds_the_ratio(coeffs, c):
-    assert_bracket_holds(rc.Polynomial(tuple(coeffs)), c)
+    f = rc.Polynomial(tuple(coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(math.isfinite(r) for r in f.stationary_points())
+        assert_bracket_holds(f, c)
 
 
 @examples

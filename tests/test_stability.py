@@ -445,6 +445,62 @@ class TestNoOverClaim:
             rc.cmax_continuous(rc.Sigmoid(1.0, 1.0), 0.5)
 
 
+def reference_fixed_point(network, f):
+    """q* by the earlier fixed_point: the same homotopy, with every Newton
+    step a least-squares solve and no stall exit.  Frozen as the reference
+    for the LU steps."""
+    m = network.m
+    a, eye = network.a, np.eye(m)
+
+    def newton(q, t):
+        g = t * f.raw(q) + a @ q - q
+        for _ in range(200):
+            if float(np.max(np.abs(g))) <= 1e-12:
+                break
+            jac = t * np.diag(np.asarray(f.derivative(q))) + a - eye
+            step, *_ = np.linalg.lstsq(jac, -g, rcond=None)
+            norm2 = float(np.linalg.norm(g))
+            damp, moved = 1.0, False
+            for _ in range(40):
+                trial = q + damp * step
+                gt = t * f.raw(trial) + a @ trial - trial
+                if np.all(np.isfinite(gt)) and float(np.linalg.norm(gt)) < norm2:
+                    q, g, moved = trial, gt, True
+                    break
+                damp *= 0.5
+            if not moved:
+                break
+        return q, float(np.max(np.abs(g)))
+
+    q = np.zeros(m)
+    t_done, t_try, legs = 0.0, 1.0, 0
+    while t_done < 1.0 and legs < 64:
+        legs += 1
+        q_new, res = newton(q.copy(), t_try)
+        if res <= 1e-12:
+            q, t_done = q_new, t_try
+            t_try = 1.0
+        else:
+            t_try = t_done + 0.5 * (t_try - t_done)
+    assert t_done == 1.0
+    return q
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.solve and np.linalg.lstsq calls."""
+    calls = {"solve": 0, "lstsq": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestFixedPoint:
     def test_flat_sigmoid_uncoupled(self):
         net = rc.ReservoirNetwork(a=np.zeros((3, 3)), w=np.zeros(3))
@@ -468,6 +524,53 @@ class TestFixedPoint:
         f = rc.Sigmoid(4.0, 0.5)
         shifted = rc.fixed_point(ensemble_network, f)
         assert shifted.max_residual(ensemble_network, f) <= 1e-10
+
+    def test_exactly_singular_jacobian_takes_a_least_squares_step(self, linalg_calls):
+        # J = t f'(0) - 1 = 0 at t = 1, q = 0: LU fails, lstsq steps
+        net = rc.ReservoirNetwork(a=np.array([[0.0]]), w=np.zeros(1))
+        f = rc.Sigmoid(4.0, 1.0)
+        shifted = rc.fixed_point(net, f)
+        assert linalg_calls["lstsq"] == 1 and linalg_calls["solve"] >= 1
+        assert shifted.max_residual(net, f) <= 1e-10
+
+    def test_fold_cell_solve_count(self, linalg_calls):
+        # the branch from q = 0 folds near t = 0.87, so legs fail: the
+        # earlier lstsq Newton took 408 solves here and the LU steps without
+        # the stall exit 281
+        net = rc.construct_adjacency(100, seed=7, spectral_target=0.5, input_coupling="signs")
+        f = rc.Sigmoid(6.0, 0.75)
+        shifted = rc.fixed_point(net, f)
+        assert linalg_calls["lstsq"] == 0
+        assert linalg_calls["solve"] <= 240
+        assert shifted.max_residual(net, f) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "seed, cells",
+        [
+            # the benchmark's sigmoid map, less p1 = 0 (no fixed point) and
+            # its fold cell p1 = 6, p2 = 0.75, where rounding picks the branch
+            *[
+                (seed, [(p1, p2) for p1 in (-6.0, -3.0, 3.0, 6.0) for p2 in (0.25, 0.75)
+                        if (p1, p2) != (6.0, 0.75)])
+                for seed in range(4)
+            ],
+            # criterion 8's grid
+            (0, [(float(p1), 0.5) for p1 in np.arange(-6.0, 6.5, 0.5) if p1 != 0.0]),
+        ],
+        ids=["benchmark-0", "benchmark-1", "benchmark-2", "benchmark-3", "criterion-8-0"],
+    )
+    def test_matches_least_squares_reference(self, seed, cells):
+        net = rc.construct_adjacency(100, seed=seed, spectral_target=0.5, input_coupling="signs")
+        spectral = rc.critical_shifts(net.a)
+        for p1, p2 in cells:
+            f = rc.Sigmoid(p1, p2)
+            view = rc.fixed_point(net, f)
+            q_ref = reference_fixed_point(net, f)
+            scale = max(1.0, float(np.max(np.abs(q_ref))))
+            assert np.max(np.abs(view.q_star - q_ref)) <= 1e-12 * scale, (p1, p2)
+            ref = rc.cmax_discrete(ShiftedDynamics(f, q_ref, net.a @ q_ref - q_ref), spectral)
+            report = rc.cmax_discrete(view, spectral)
+            assert (report.regime, report.c_max) == (ref.regime, ref.c_max), (p1, p2)
 
     def test_unreachable_fixed_point_reports_residual(self):
         # with unit self-coupling the fixed-point equation reduces to

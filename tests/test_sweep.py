@@ -121,9 +121,18 @@ class TestRunSweep:
         assert len(records) == 4
         assert {r.regime for r in records} <= {"globally_stable", "unstable"}
 
-    def test_bad_realization_recorded_per_cell(self):
+    def test_bad_realization_recorded_per_cell(self, monkeypatch):
         # m=10 seed=0 has an eigenvalue outside the unit disk; its cells must
-        # carry the error while the sweep still completes
+        # carry the error while the sweep still completes.  Each realization's
+        # spectrum is computed once, the failing one included
+        spectra = []
+        critical_shifts = stability.critical_shifts
+
+        def counted(a):
+            spectra.append(a)
+            return critical_shifts(a)
+
+        monkeypatch.setattr(stability, "critical_shifts", counted)
         cfg = small_config(
             time_kind="discrete",
             template=rc.ScaledTanh(1.0, 0.5),
@@ -139,6 +148,8 @@ class TestRunSweep:
         good = [r for r in records if r.realization == 1]
         assert all(r.regime == "error" and "SpectralRadius" in r.error for r in bad)
         assert all(r.regime != "error" for r in good)
+        assert len(spectra) == 2
+        assert all(a is net.a for a, net in zip(spectra, cfg.networks))
 
     def test_dt_mismatch_rejected(self):
         with pytest.raises(ConfigError):
