@@ -11,8 +11,10 @@ The stability bounds need the extrema of the ratio f(r)/r over intervals
 [-c, c].  Those extrema can only occur at four kinds of points: the two
 interval endpoints, the origin limit f'(0), and interior stationary points of
 the ratio, i.e. solutions of r*f'(r) - f(r) = 0 with r != 0.  This module
-finds the stationary points; `stability.ShiftedDynamics.kpair` assembles the
-four candidate families into the bracket.
+finds the stationary points: a polynomial's as polynomial roots, those of
+tanh and the sigmoid by bisection on the pieces of the line where the
+stationarity function is monotone.  `stability.ShiftedDynamics.kpair`
+assembles the four candidate families into the bracket.
 """
 
 from __future__ import annotations
@@ -23,14 +25,6 @@ import numpy as np
 
 from .errors import AnalysisError
 
-# Grid density for the sign-change scan used on transcendental kinds.
-_SCAN_POINTS = 10_000
-#: points h/2, h/4, ..., h/2**_LADDER on each side of the origin refine the
-#: scan cell around it (h is the scan step).  For tanh and sigmoid the last
-#: one sits at p2*r >= 1.6e-5, where the stationarity function of an odd f
-#: still stands about 1e6 above its rounding; a root nearer 0 would have a
-#: stationary value within about (p2*r)**2 ~ 3e-10 (relative) of fbar'(0).
-_LADDER = 10
 _ROOT_TOL = 1e-12
 
 
@@ -133,9 +127,14 @@ class Polynomial(NodalDynamics):
             h.pop()
         return h
 
-    def stationary_points(self):
-        """All real roots of h, polished; [] when h is identically zero."""
+    def stationary_points(self, constant=0.0):
+        """All real roots of h, polished; [] when h is identically zero.
+
+        A nonzero constant is a constant term added to f, which makes the
+        roots those of r**2 h(r) - constant."""
         h = self._stationarity_coeffs()
+        if constant:
+            h = [-constant, 0.0, *h]
         if len(h) < 2:  # h constant, no roots
             return []
         desc = h[::-1]
@@ -239,15 +238,16 @@ class Sigmoid(NodalDynamics):
     p2: float
 
     def params(self):
-        return (self.p1, self.p2)
+        """(p1, -p2): (-p2)*r is -(p2*r) bit for bit, so `evaluate` needs
+        no negation."""
+        return (self.p1, -self.p2)
 
     def evaluate(self, params, r, out):
         """exp(-p2*r) overflows to inf where -p2*r passes about 709, which
         makes f exactly 0; `raw` ignores that overflow, and the drive and
         the unforced integrator step under their own np.errstate."""
-        p1, p2 = params
-        np.multiply(r, p2, out=out)
-        np.negative(out, out=out)
+        p1, minus_p2 = params
+        np.multiply(r, minus_p2, out=out)
         np.exp(out, out=out)
         out += 1.0
         return np.divide(p1, out, out=out)
@@ -272,63 +272,57 @@ class Sigmoid(NodalDynamics):
 
 def shifted_stationary_points(base: NodalDynamics, shifts, offsets) -> list[list[float]]:
     """Interior stationary points of every fbar(r) = base(r + shift) + offset,
-    one ascending list per (shift, offset): the roots of r*fbar'(r) - fbar(r)
-    other than the origin.
+    one ascending list per (shift, offset): the roots other than the origin
+    of g(r) = r*fbar'(r) - fbar(r).
 
-    Each is found by a sign-change scan and bisection over the window beyond
-    which its stationarity function cannot change sign: |shift| + 80/|p2|
-    for tanh and sigmoid (|shift| + 1 when p2 vanishes), |shift| + 100 for
-    polynomials.  The origin is a root of at least second order, so the one
-    scan cell that holds it is skipped; _LADDER points on each side refine
-    that cell, so a root nearer 0 than one step h still shows as a sign
-    change unless it lies within h/2**_LADDER.  The sign flips of every scan
+    A polynomial fbar is a polynomial again, with base's Taylor coefficients
+    at shift and the constant term fbar(0), and takes
+    `Polynomial.stationary_points`.  For tanh and sigmoid,
+    g'(r) = r*f''(r + shift) and f''(x) vanishes only at x = 0 (everywhere
+    when p1 or p2 is 0).  So g is monotone on each of the three pieces that
+    r = 0 and r = -shift cut from the window [-c, c], where
+    c = |shift| + 80/|p2| (|shift| + 1 when p2 vanishes) and past which f'
+    is below e**-80 of its peak.  A piece holds a root only when g has
+    opposite signs at its ends, and then exactly one, found by bisection:
+    a piece that ends at the origin holds none when fbar(0) = 0, and a
+    constant g (p1 or p2 zero) none.  A g that rounds to exactly 0 at a
+    piece end is no sign change.  Off the origin that happens in practice
+    at -shift near 0, inside the origin's double root, where the ratio is
+    fbar'(0) up to rounding: already a candidate.  The pieces of every node
     are bisected together as one array; each element sees the operations
     and stopping rule of a scalar bisection.
     """
     shifts = np.asarray(shifts, dtype=float)
-    if isinstance(base, (ScaledTanh, Sigmoid)):
-        p2 = abs(base.p2)
-        reach = 1.0 if p2 < 1e-9 else 80.0 / p2
-    else:
-        reach = 100.0
+    offsets = np.asarray(offsets, dtype=float)
+    if isinstance(base, Polynomial):
+        found = []
+        for shift, offset in zip(shifts, offsets):
+            shift_by = np.polynomial.Polynomial((shift, 1.0))
+            taylor = np.polynomial.Polynomial((0.0, *base.coeffs))(shift_by).coef
+            fbar0 = float(base.raw(shift)) + offset
+            # numpy drops zero leading coefficients, possibly all but the constant
+            recentred = Polynomial(tuple(taylor[1:]) or (0.0,))
+            found.append(recentred.stationary_points(fbar0))
+        return found
+    p2 = abs(base.p2)
+    edge = np.abs(shifts) + (1.0 if p2 < 1e-9 else 80.0 / p2)
+    # rows: -c <= min(0, -shift) <= max(0, -shift) <= c, one column per node
+    ends = np.stack([-edge, np.minimum(0.0, -shifts), np.maximum(0.0, -shifts), edge])
 
     def g(r, shift, offset):
         x = r + shift
         return r * base.derivative(x) - (base.raw(x) + offset)
 
-    per_scan = []  # (grid roots, index of the first flip, flip count)
-    lo, hi, flo, shift_of, offset_of = [], [], [], [], []
-    for shift, offset, c in zip(shifts, offsets, np.abs(shifts) + reach):
-        grid = np.linspace(-c, c, _SCAN_POINTS + 1)
-        rungs = (2.0 * c / _SCAN_POINTS) * 0.5 ** np.arange(1, _LADDER + 1)
-        grid = np.concatenate(
-            [grid[grid < -rungs[0]], -rungs, rungs[::-1], grid[grid > rungs[0]]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = g(ends, shifts, offsets)
+    if not np.all(np.isfinite(vals)):
+        raise AnalysisError(
+            "stationarity function is non-finite at a piece end",
+            residual=float(np.nanmax(np.abs(vals))),
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(g(grid, shift, offset))
-        if not np.all(np.isfinite(vals)):
-            raise AnalysisError(
-                "stationarity scan produced non-finite values",
-                residual=float(np.nanmax(np.abs(vals))),
-            )
-        if not np.any(vals):
-            # r*f'(r) - f(r) vanishes identically (e.g. a sigmoid with p1 = 0):
-            # the ratio f(r)/r is constant and the endpoint chords carry it
-            per_scan.append(([], len(lo), 0))
-            continue
-        exact = [float(r) for r in grid[vals == 0.0] if abs(r) > 1e-9]
-        sign = np.sign(vals)
-        flips = np.where(sign[:-1] * sign[1:] < 0)[0]
-        flips = flips[(grid[flips] > 0.0) | (grid[flips + 1] < 0.0)]
-        per_scan.append((exact, len(lo), flips.size))
-        lo.extend(grid[flips])
-        hi.extend(grid[flips + 1])
-        flo.extend(vals[flips])
-        shift_of.extend([shift] * flips.size)
-        offset_of.extend([offset] * flips.size)
-
-    lo, hi, flo = np.array(lo), np.array(hi), np.array(flo)
-    shift_of, offset_of = np.array(shift_of), np.array(offset_of)
+    piece, node = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    lo, hi, flo = ends[piece, node], ends[piece + 1, node], vals[piece, node]
+    shift_of, offset_of = shifts[node], offsets[node]
     live = np.arange(lo.size)
     for _ in range(200):
         if not live.size:
@@ -345,14 +339,10 @@ def shifted_stationary_points(base: NodalDynamics, shifts, offsets) -> list[list
         move_hi = ~done & ~keep_lo
         hi[live[move_hi]] = mid[move_hi]
         live = live[~done]
-    bisected = (0.5 * (lo + hi)).tolist()
 
-    found = []
-    for roots, first, count in per_scan:
-        for r in bisected[first : first + count]:
-            if abs(r) > 1e-9 and not any(abs(r - y) <= 1e-9 * max(1.0, abs(r)) for y in roots):
-                roots.append(r)
-        found.append(sorted(roots))
+    found = [[] for _ in shifts]
+    for i, r in zip(node.tolist(), (0.5 * (lo + hi)).tolist()):
+        found[i].append(r)  # nonzero pieces ascend, so each list does
     return found
 
 

@@ -96,15 +96,6 @@ def omega_buffer(m: int, n_keep: int) -> np.ndarray:
     return omega
 
 
-def _map_steps(step, y):
-    """Iterate y <- step(y) in place, yielding y after each step."""
-    image = np.empty_like(y)
-    while True:
-        step(None, y, image)
-        y[...] = image
-        yield y
-
-
 def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
     """Drive several cells of one network at once, one slot per sink.
 
@@ -115,7 +106,8 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
     A cell's row starts at `initial` (zeros by default) and steps once per
     input sample: by `rk4_steps` with step dt for r' = f(r) + A r + w s
     (continuous time, the input held over each step), or by the map
-    r <- f(r) + A r + w s (discrete time).  Each stage couples the whole
+    r <- f(r) + A r + w s (discrete time), which writes each state straight
+    into the next row of the check block.  Each stage couples the whole
     state with one product r @ A^T, whose rounding depends on its shape
     only; so a row's bits do not depend on its slot, on the other rows or
     on the number of sinks.  An idle row, and its parameters, stay zero.
@@ -145,9 +137,10 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
     total = s.shape[0]
     y = np.zeros((SLOTS, m))
     coupled = np.zeros_like(y)
-    drive = np.zeros_like(y)
     block = np.empty((DRIVE_BLOCK, SLOTS, m))
     drives = np.zeros_like(block)
+    # views made once: field reads drive, which each step binds to its row
+    block_rows, drive_rows = list(block), list(drives)
     cells = iter(cells)
     keys, pos, live = [None] * SLOTS, [0] * SLOTS, []
     nodal, params = None, None
@@ -178,10 +171,7 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
             pos[j] = 0
             live.append(j)
 
-    if time_kind == "continuous":
-        stepper = rk4_steps(field, y, dt)
-    else:
-        stepper = _map_steps(field, y)
+    stepper = rk4_steps(field, y, dt) if time_kind == "continuous" else None
     refill()
     while live:
         steps = min(DRIVE_BLOCK, *(total - pos[j] for j in live))
@@ -191,10 +181,18 @@ def drive_cells(network, cells, s, time_kind, dt, sinks, first=0, initial=None):
         # stepping only, not the cells drawn by refill or the caller's work
         # between yields
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(steps):
-                np.copyto(drive, drives[i])
-                next(stepper)
-                block[i] = y
+            if stepper is None:
+                # the map reads each row of the block and writes the next;
+                # y carries the last row over to the next block
+                previous = y
+                for drive, row in zip(drive_rows[:steps], block_rows):
+                    field(None, previous, row)
+                    previous = row
+                y[...] = previous
+            else:
+                for drive, row in zip(drive_rows[:steps], block_rows):
+                    next(stepper)
+                    row[...] = y
             bounded = (np.abs(block[:steps]) <= DIVERGENCE_THRESHOLD).all(axis=2)
         for j in list(live):
             bad = np.flatnonzero(~bounded[:, j])

@@ -201,13 +201,16 @@ def cmax_continuous(f: NodalDynamics, alpha_max_value: float) -> StabilityReport
 class ShiftedDynamics:
     """Reservoir dynamics recentered on the fixed point q* of the unforced map.
 
-    Node i sees fbar_i(r) = f(r + q*_i) + offset_i with
-    offset_i = (A q*)_i - q*_i, which vanishes at r = 0 up to the fixed-point
-    residual.  Interior stationary candidates are independent of the query
-    radius, so they are located once, at construction, and filtered per
-    call: a homogeneous view (f(0) = 0, q* = 0 and no offsets) takes the
-    kind's own `stationary_points`, any other view scans each node's full
-    window.
+    Node i sees fbar_i(r) = f(r + q*_i) + offset_i.  `fixed_point` sets
+    offset_i = -f(q*_i), so that fbar_i(0) = 0 exactly.  The recentred map
+    r <- fbar(r) + A r then differs from the map in moved coordinates by
+    the fixed-point residual f(q*) + A q* - q*, at most 1e-10 in max norm,
+    which it leaves out: on the recentred system that residual is a
+    constant input.  Interior stationary candidates are independent of the
+    query radius, so they are located once, at construction, and filtered
+    per call: a homogeneous view (f(0) = 0, q* = 0 and no offsets) takes the
+    kind's own `stationary_points`, any other view
+    `dynamics.shifted_stationary_points`.
     """
 
     def __init__(self, base: NodalDynamics, q_star, offsets):
@@ -360,8 +363,7 @@ def fixed_point(network: ReservoirNetwork, f: NodalDynamics) -> ShiftedDynamics:
         raise FixedPointError(
             f"fixed-point search stalled at residual {best:.3e}", residual=best
         )
-    offsets = a @ q - q
-    return ShiftedDynamics(f, q, offsets)
+    return ShiftedDynamics(f, q, -f.raw(q))
 
 
 def cmax_discrete(

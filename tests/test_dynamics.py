@@ -198,8 +198,9 @@ def reference_halfwidth(base, q):
 
 def reference_scan(base, q, b, c):
     """The per-node scalar sign-change scan and bisection, over [-c, c], of
-    r*fbar'(r) - fbar(r) with fbar(r) = base(r + q) + b, which
-    `shifted_stationary_points` batches across nodes."""
+    r*fbar'(r) - fbar(r) with fbar(r) = base(r + q) + b: the search that
+    `shifted_stationary_points` made before it bisected monotone pieces,
+    kept as its reference."""
 
     def g(r):
         r = np.asarray(r, dtype=float)
@@ -240,32 +241,48 @@ def reference_scan(base, q, b, c):
     return sorted(roots)
 
 
+def root_tolerance(base, q, b, r):
+    """How far two bisections of r*fbar'(r) - fbar(r) may end apart: 1e-12
+    relative, their stopping width, plus how far the function's rounding
+    (4e-16 of its terms) moves the root where the function is flat, that
+    error over the slope r*f''(r + q)."""
+    x, h = r + q, 1e-6
+    noise = 4e-16 * (abs(r * base.derivative(x)) + abs(float(base.raw(x))) + abs(b))
+    slope = r * (base.derivative(x + h) - base.derivative(x - h)) / (2.0 * h)
+    return 1e-12 * max(1.0, abs(r)) + noise / abs(slope)
+
+
 class TestBatchedStationaryPoints:
-    """All nodes' sign flips bisected as one array give the roots of the
-    per-node scalar bisection, bit for bit, and `ShiftedDynamics` reads its
-    per-node slopes, roots and root values off them as a per-node scalar
-    computation would."""
+    """All nodes' monotone pieces bisected as one array give the roots of
+    the per-node scalar scan and bisection: as many per node, each within
+    `root_tolerance` (the two bisections start from different brackets, so
+    they end on different bits), with ratio values within 1e-12 relative.
+    `ShiftedDynamics` reads its per-node slopes, roots and root values off
+    them as a per-node scalar computation would."""
 
     @staticmethod
     def check(base, shifts, offsets):
-        expected = [
-            reference_scan(base, q, b, reference_halfwidth(base, q))
-            for q, b in zip(shifts, offsets)
-        ]
-        assert shifted_stationary_points(base, shifts, offsets) == expected
+        found = shifted_stationary_points(base, shifts, offsets)
+        for q, b, roots in zip(shifts, offsets, found):
+            expected = reference_scan(base, q, b, reference_halfwidth(base, q))
+            assert len(roots) == len(expected)
+            for r, e in zip(roots, expected):
+                assert abs(r - e) <= root_tolerance(base, q, b, e)
+                got, want = ((base.raw(x + q) + b) / x for x in (r, e))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
         shifted = ShiftedDynamics(base, shifts, offsets)
         deriv0 = np.array([base.derivative(np.asarray(0.0) + q) for q in shifts])
-        roots = [r for rs in expected for r in rs]
+        roots = [r for rs in found for r in rs]
         values = [
             float((base.raw(r + q) + b) / r)
-            for q, b, rs in zip(shifts, offsets, expected)
+            for q, b, rs in zip(shifts, offsets, found)
             for r in rs
         ]
         assert shifted.deriv0.tobytes() == deriv0.tobytes()
         assert shifted._roots.tolist() == roots
         assert shifted._root_values.tolist() == values
-        return expected
+        return found
 
     @pytest.mark.parametrize("p1, p2", [(2.0, 0.5), (-4.0, 0.75), (6.0, 0.25)])
     def test_shifted_sigmoid_network(self, p1, p2):
@@ -286,11 +303,38 @@ class TestBatchedStationaryPoints:
         assert roots[3] == [] and roots[7] == []
         assert sum(map(len, roots)) >= 12
 
+    def test_recentred_polynomial_takes_its_taylor_coefficients(self):
+        rng = np.random.default_rng(5)
+        shifts = rng.normal(0.0, 0.5, 8)
+        offsets = -CUBIC.raw(shifts) + rng.normal(0.0, 0.5, 8)
+        offsets[:3] = -CUBIC.raw(shifts[:3])  # fbar(0) = 0: one root, at 2 - 1.5 q
+        roots = self.check(CUBIC, shifts.tolist(), offsets.tolist())
+        assert [len(rs) for rs in roots[:3]] == [1, 1, 1]
+        assert sum(map(len, roots[3:])) > 5
+
     def test_flat_sigmoid(self):
         base = Sigmoid(0.0, 0.5)
         assert self.check(base, [0.3, -1.2], [0.0, 0.0]) == [[], []]
         window = reference_halfwidth(base, 0.0)
         assert base.stationary_points() == reference_scan(base, 0.0, 0.0, window) == []
+
+    def test_work_per_node_is_a_bisection(self, monkeypatch):
+        # each node's f' is taken at its piece ends and at most one
+        # bisection's midpoints: about 1e6 points with the earlier
+        # 10,001-point scan per node
+        net = construct_adjacency(100, seed=0, spectral_target=0.5, input_coupling="signs")
+        view = fixed_point(net, Sigmoid(6.0, 0.25))
+        points = []
+        derivative = Sigmoid.derivative
+
+        def counted(self, r):
+            points.append(np.size(r))
+            return derivative(self, r)
+
+        monkeypatch.setattr(Sigmoid, "derivative", counted)
+        shifted = ShiftedDynamics(view.base, view.q_star, view.offsets)
+        assert shifted._roots.size > 0
+        assert sum(points) <= 100 * (2 + 64)
 
 
 class TestRatioCandidates:

@@ -2,14 +2,18 @@
 
 For random dynamics and radii, f(r)/r on a dense grid of [-c, c] must stay
 inside kstar_discrete(f, c), to 1e-9 relative to the bracket's scale.  For
-random polynomials, tanh, their views recentred on random points q
-(fbar_i(r) = f(r + q_i) - f(q_i)) and recentred sigmoid views:
+random polynomials, tanh and sigmoids, their views recentred on random
+points q (fbar_i(r) = f(r + q_i) - f(q_i)) and recentred sigmoid views:
 
 - `ShiftedDynamics.ratio_limits` bounds every node's ratio over a wide
   window, and a recentred view's `kpair(c)` over [-c, c];
 - a finite c_max found by a crossing satisfies its predicate, which fails
   just above it;
 - a globally stable report has its limits inside its thresholds.
+
+For tanh and sigmoids recentred on random q with random offsets, the
+stationary points are the sign changes of the stationarity function on a
+dense scan, and there is at most one per node when fbar(0) = 0.
 """
 
 import math
@@ -20,6 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rcstab as rc
+from rcstab.dynamics import shifted_stationary_points
 from rcstab.errors import FixedPointError
 from rcstab.stability import _CMAX_CAP, Regime, ShiftedDynamics
 
@@ -30,6 +35,12 @@ polynomials = st.lists(coefficient, min_size=1, max_size=5).map(
     lambda c: rc.Polynomial(tuple(c))
 )
 tanhs = st.builds(rc.ScaledTanh, coefficient, st.floats(1e-3, 10.0))
+#: tanh and sigmoids with p1 and p2 of both signs (tanh needs p2 > 0)
+bounded_kinds = st.one_of(
+    st.builds(rc.ScaledTanh, coefficient, st.floats(1e-3, 3.0)),
+    st.builds(rc.Sigmoid, coefficient, st.floats(-3.0, 3.0)),
+)
+shifts = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)
 alpha = st.floats(-5.0, 5.0)
 #: diagonal adjacencies, whose shift interval is [-1 - min d, 1 - max d]
 diagonal = st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=3).map(np.diag)
@@ -109,6 +120,49 @@ recentred_views = st.builds(
     st.one_of(polynomials, tanhs),
     st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
 )
+
+
+def stationarity(f, q, b, r):
+    """r*fbar'(r) - fbar(r) for fbar(r) = f(r + q) + b, and a bound on its
+    rounding: 64 ulps of its terms."""
+    x = r + q
+    slope, value = r * f.derivative(x), f.raw(x)
+    return slope - (value + b), 64 * 2.2e-16 * (np.abs(slope) + np.abs(value) + abs(b))
+
+
+@examples
+@given(f=bounded_kinds, q=shifts, d=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_stationary_points_match_a_dense_scan(f, q, d):
+    """Each root is a sign change of the stationarity function, up to its
+    rounding; at most one lies on each monotone piece; and every sign
+    change on a 20,001-point grid of the window, both ends clear of the
+    rounding, holds a root."""
+    offsets = -f.raw(np.asarray(q)) + np.asarray(d[: len(q)])
+    for qi, b, roots in zip(q, offsets, shifted_stationary_points(f, q, offsets)):
+        assert len(roots) <= 3
+        for root in roots:
+            h = 2e-12 * max(1.0, abs(root))
+            g, noise = stationarity(f, qi, b, np.array([root - h, root + h]))
+            assert g.min() <= noise.max() and g.max() >= -noise.max()
+        reach = abs(f.p2)
+        c = abs(qi) + (1.0 if reach < 1e-9 else 80.0 / reach)
+        r = np.linspace(-c, c, 20_001)
+        g, noise = stationarity(f, qi, b, r)
+        clear = np.abs(g) > noise
+        flips = np.flatnonzero(clear[:-1] & clear[1:] & (np.sign(g[:-1]) != np.sign(g[1:])))
+        for lo, hi in zip(r[flips], r[flips + 1]):
+            tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+            assert any(lo - tol <= root <= hi + tol for root in roots)
+
+
+@examples
+@given(f=bounded_kinds, q=shifts)
+def test_one_stationary_point_per_node_when_fbar_vanishes_at_zero(f, q):
+    view = recentred_view(f, q)
+    assert np.all(view._fbar(np.zeros(view.m)) == 0.0)
+    roots = shifted_stationary_points(f, view.q_star, view.offsets)
+    assert all(len(rs) <= 1 for rs in roots)
+    assert_kpair_holds(view)
 
 
 def assert_inside(view, r, lo, hi):

@@ -428,8 +428,9 @@ class TestNoOverClaim:
         self.check(report, view)
 
     def test_stationary_point_in_the_origin_scan_cell(self):
-        # fbar(r)/r peaks at r = -0.099, inside the stationarity scan's cell
-        # around 0 (one step is 0.13 here), 2e-7 above fbar'(0)
+        # fbar(r)/r peaks at r = -0.099, 2e-7 above fbar'(0): inside the
+        # cell around 0 of a 10,001-point stationarity scan (one step is
+        # 0.13 here), which `tests/test_dynamics.py::reference_scan` keeps
         f = rc.Sigmoid(0.5, 0.125)
         view = ShiftedDynamics(f, [0.066], [-f(0.066)])
         r = np.linspace(-1.0, 1.0, 20_001)
