@@ -36,7 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import NodalDynamics, Polynomial, ScaledTanh, shifted_stationary_points
+from .dynamics import NodalDynamics, Polynomial, shifted_stationary_points
+from .equilibria import LEMMA_KINDS, NEWTON_TOL, Balls, newton, squared_norms
 from .errors import FixedPointError, InfeasibleTopologyError
 from .network import ReservoirNetwork, SpectralSummary, alpha_max, critical_shifts
 from .signals import rk4_steps
@@ -44,28 +45,19 @@ from .signals import rk4_steps
 _CMAX_REL_TOL = 1e-9
 _CMAX_CAP = 1e6
 _CMAX_START = 1e-3
-#: residual (max norm) at which a fixed-point Newton leg stops, and its step cap
-_FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 200
-#: a leg ends as failed once its residual 2-norm is above _FIXED_POINT_STALL_RATIO
-#: times its value _FIXED_POINT_STALL_ITERS iterations earlier.  Past a fold of
-#: the homotopy branch the damped steps creep; a failed leg's q is thrown away,
-#: so cutting a leg that would fail anyway leaves the path unchanged
-_FIXED_POINT_STALL_ITERS = 15
-_FIXED_POINT_STALL_RATIO = 0.9
 #: final-state norm below which an unforced trajectory counts as converged
 CONVERGED_NORM = 1e-4
 #: state elements (rows * m) per row block of `simulate_unforced`, which cuts
 #: a batch into max(1, rows * m // SPLIT_ELEMENTS) blocks and steps them one
 #: after another.  Measured on one 2-core machine with `rcstab basin` on the
 #: basin's 40,000 rows at m = 2, t = 50, with settled rows retired and
-#: converging rows captured (`converged`), 8 alternating runs each: one
-#: block took 0.47-0.63 s (median 0.56) at 41.2 MB peak RSS, two blocks
-#: 0.51-0.61 s (0.54) at 38.5 MB and four 0.47-0.57 s (0.52) at 36.9 MB;
-#: in 3 runs, eight took 0.57-0.68 s at 36.9 MB.  Two blocks stay as fast
-#: as one and 2.7 MB smaller.  Four gain 0.02 s in the median, inside the
-#: spread, and 1.6 MB; they would change the block count, and so the ulps
-#: at m >= 5, of nearly every batch of 40,000 elements or more.
+#: converging rows captured or trapped (`converged`), 8 alternating runs
+#: each: one block took 0.22-0.30 s (median 0.235) at 41.1 MB peak RSS, two
+#: blocks 0.22-0.25 s (0.229) at 38.6 MB and four 0.24-0.29 s (0.249) at
+#: 37.5 MB.  Two blocks are as fast as one and 2.5 MB smaller; the second
+#: block meets the trap that the first one found.  Four save 1.1 MB but
+#: take 0.02 s more, and would change the block count, and so the ulps at
+#: m >= 5, of nearly every batch of 40,000 elements or more.
 SPLIT_ELEMENTS = 30_000
 #: steps between two checks of `simulate_unforced` for settled rows
 SETTLE_CHECK = 64
@@ -294,13 +286,14 @@ def _unshifted(f: NodalDynamics) -> ShiftedDynamics:
 def fixed_point(network: ReservoirNetwork, f: NodalDynamics) -> ShiftedDynamics:
     """Locate q* with f(q*) + A q* = q* and build the recentered view.
 
-    A homotopy on the nodal-term strength t, each leg a damped Newton
-    iteration on t*f(q) + A q - q = 0 warm-started from the last solved t.
-    A step is an LU solve of the Jacobian; only a Jacobian that LAPACK finds
-    exactly singular takes a least-squares step instead, so the step stays
-    finite.  A leg whose residual stalls (_FIXED_POINT_STALL_ITERS) ends as
-    failed and the next leg tries half the remaining t.  Dynamics that
-    already vanish at the origin short-circuit to q* = 0.
+    A homotopy on the nodal-term strength t, each leg a `equilibria.newton` run on
+    t*f(q) + A q - q = 0 warm-started from the last solved t.  The
+    Jacobian can be exactly singular where f'(q) lands on an adjacency
+    eigenvalue gap (e.g. the sigmoid at p1*p2/4 = spectral abscissa).  A
+    leg that ends above NEWTON_TOL (a stall, past a fold of the
+    branch) fails, its q is thrown away, and the next leg tries half the
+    remaining t.  Dynamics that already vanish at the origin short-circuit
+    to q* = 0.
     """
     m = network.m
     if f.origin_fixed():
@@ -309,41 +302,10 @@ def fixed_point(network: ReservoirNetwork, f: NodalDynamics) -> ShiftedDynamics:
     a = network.a
     a_minus_eye = a - np.eye(m)
 
-    def newton(q, t):
-        """Damped Newton on t*f(q) + A q - q = 0 from a warm start.
-
-        The line search measures the 2-norm, which neither step raises to
-        first order: the LU step, nor the least-squares step taken where the
-        Jacobian is exactly singular (f'(q) landing on an adjacency
-        eigenvalue gap, e.g. the sigmoid at p1*p2/4 = spectral abscissa).
-        Every accepted step lowers the 2-norm, and the stall test reads it.
-        """
-        g = t * f.raw(q) + a @ q - q
-        norms = [math.inf] * _FIXED_POINT_STALL_ITERS  # then one per iteration
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            if float(np.max(np.abs(g))) <= _FIXED_POINT_TOL:
-                break
-            norm2 = float(np.linalg.norm(g))
-            if norm2 > _FIXED_POINT_STALL_RATIO * norms[-_FIXED_POINT_STALL_ITERS]:
-                break
-            norms.append(norm2)
-            jac = a_minus_eye.copy()
-            jac.flat[:: m + 1] += t * f.derivative(q)
-            try:
-                step = np.linalg.solve(jac, -g)
-            except np.linalg.LinAlgError:  # exactly singular
-                step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-            damp, moved = 1.0, False
-            for _ in range(40):
-                trial = q + damp * step
-                gt = t * f.raw(trial) + a @ trial - trial
-                if np.all(np.isfinite(gt)) and float(np.linalg.norm(gt)) < norm2:
-                    q, g, moved = trial, gt, True
-                    break
-                damp *= 0.5
-            if not moved:
-                break
-        return q, float(np.max(np.abs(g)))
+    def jacobian(q):
+        jac = a_minus_eye.copy()
+        jac.flat[:: m + 1] += t_try * f.derivative(q)
+        return jac
 
     # Homotopy on the nodal-term strength: at t=0 the fixed point is the
     # origin; warm-started legs track the branch through saturated regimes
@@ -352,8 +314,8 @@ def fixed_point(network: ReservoirNetwork, f: NodalDynamics) -> ShiftedDynamics:
     t_done, t_try, legs = 0.0, 1.0, 0
     while t_done < 1.0 and legs < 64:
         legs += 1
-        q_new, res = newton(q.copy(), t_try)
-        if res <= _FIXED_POINT_TOL:
+        q_new, res = newton(q.copy(), lambda x: t_try * f.raw(x) + a @ x - x, jacobian)
+        if res <= NEWTON_TOL:
             q, t_done = q_new, t_try
             t_try = 1.0
         else:
@@ -406,34 +368,41 @@ def simulate_unforced(
     t_final: float = 50.0,
     dt: float = 0.02,
     *,
-    capture: float = 0.0,
+    capture: bool = False,
 ) -> np.ndarray:
     """Integrate the unforced continuous reservoir from a batch of initial
     conditions; returns the final states (diverged rows become non-finite).
 
-    Rows are independent systems.  The batch is cut into
-    max(1, rows * m // SPLIT_ELEMENTS) contiguous row blocks, a number fixed
-    by the batch's shape, and `_integrate` steps the blocks one after
-    another on the calling thread, retiring rows that have settled.  A
-    block's coupling product is one BLAS call on a C-contiguous copy of A
-    transposed.  With OpenBLAS at m = 2 and 3 its bits do not depend on the
-    block's height; at m >= 5 they can, so retiring rows may move the other
-    rows of a block by ulps.
+    Rows are independent systems.  A batch with no rows returns at once.
+    Otherwise it is cut into max(1, rows * m // SPLIT_ELEMENTS) contiguous
+    row blocks, a number fixed by the batch's shape, and `_integrate` steps
+    the blocks one after another on the calling thread, retiring rows that
+    have settled.  A block's coupling product is one BLAS call on a
+    C-contiguous copy of A transposed.  With OpenBLAS at m = 2 and 3 its
+    bits do not depend on the block's height; at m >= 5 they can, so
+    retiring rows may move the other rows of a block by ulps.
 
-    A positive capture radius also retires every row whose 2-norm has
-    fallen below it, and returns that row as it was then, not at t_final.
-    Pass one only when the step map keeps that ball inside itself
-    (`_capture_radius`); the default 0 captures nothing.
+    With capture, rows also retire inside balls that RK4's step map
+    provably keeps (`equilibria.ball_kept`): the ball of radius CONVERGED_NORM about
+    the origin, and traps about other equilibria, which `_integrate`
+    searches for as it steps.  Such a row is returned as it was then, not
+    at t_final, but on the same side of CONVERGED_NORM as at t_final; so
+    `converged` reads the flags of a run without capture.  The balls found
+    are kept across the blocks of one call.  Only polynomial and tanh
+    dynamics capture; any other kind steps every row to t_final.
     """
     steps = step_count(t_final, dt)
     r = np.array(np.atleast_2d(initials), dtype=float)
+    if not len(r):
+        return r
     a_t = np.ascontiguousarray(network.a.T)
+    balls = Balls(network.a, f, dt, CONVERGED_NORM) if capture and isinstance(f, LEMMA_KINDS) else None
     for rows in np.array_split(r, max(1, r.size // SPLIT_ELEMENTS)):
-        _integrate(a_t, f, rows, steps, dt, capture)
+        _integrate(a_t, f, rows, steps, dt, balls)
     return r
 
 
-def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float, capture: float) -> None:
+def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float, balls) -> None:
     """Advance rows, a block of unforced states, in place by `steps` RK4
     steps of r' = f(r) + A r.  a_t is a C-contiguous copy of A transposed,
     so each stage's coupling is one row-major product with a_t.
@@ -447,8 +416,12 @@ def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float, capture: floa
     live block, and stepping restarts on the rows left, since the slope
     ignores t; the loop ends once no row is left.  A row that blows up to
     a stable non-finite pattern retires the same way; a row still moving,
-    or in a 2-cycle, never does.  In the same pass, a row whose 2-norm is
-    below capture retires as it stands.
+    or in a 2-cycle, never does.
+
+    balls, an `equilibria.Balls` or None, adds a second way out at the same checks:
+    at most one search for a new trap, from the live row that this step
+    moved least (`Balls.search_least_moving`), and then every row inside a
+    kept ball retires as it stands.
     """
     live, index = rows, np.arange(len(rows))
     stepper = _unforced_steps(a_t, f, live, dt)
@@ -457,12 +430,18 @@ def _integrate(a_t, f: NodalDynamics, rows, steps: int, dt: float, capture: floa
             if step % SETTLE_CHECK:
                 next(stepper)
                 continue
-            before = live.view(np.int64).copy()
+            before = live.copy()
             next(stepper)
-            settled = (live.view(np.int64) == before).all(axis=1)
-            del before  # first, so the norm's temporaries do not raise peak RSS
-            if capture > 0:
-                settled |= np.linalg.norm(live, axis=1) < capture
+            settled = (live.view(np.int64) == before.view(np.int64)).all(axis=1)
+            if balls is None:
+                del before
+            else:
+                before -= live
+                moved = squared_norms(before)
+                del before  # first, so the norms' temporaries do not raise peak RSS
+                balls.search_least_moving(live, moved)
+                del moved
+                settled |= balls.inside(live)
             if settled.any():
                 rows[index[settled]] = live[settled]
                 live, index = live[~settled], index[~settled]
@@ -484,88 +463,16 @@ def _unforced_steps(a_t, f: NodalDynamics, live, dt: float):
     return rk4_steps(rhs, live, dt)
 
 
-def _rk4_poly(z: float) -> float:
-    """P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, RK4's step factor for y' = ky
-    at z = hk.  Multiplications only, so a huge z gives inf, not an error."""
-    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-
-
-def _stage_poly(z: float) -> float:
-    """Q(z) = 1 + z + z^2/2 + z^3/4, the bound of RK4's last stage state."""
-    return 1.0 + z * (1.0 + z * (0.5 + z * 0.25))
-
-
-def _norm2_bound(x) -> float:
-    """sqrt(||x||_1 ||x||_inf), an upper bound on ||x||_2 without LAPACK."""
-    x = np.abs(x)
-    return math.sqrt(float(x.sum(axis=0).max()) * float(x.sum(axis=1).max()))
-
-
-def _capture_radius(network: ReservoirNetwork, f: NodalDynamics, dt: float) -> float:
-    """CONVERGED_NORM when the lemma below proves that S, RK4's step map of
-    r' = f(r) + A r at h = dt, keeps the ball |r| < tau = CONVERGED_NORM
-    inside itself; 0 otherwise.  |.| is the 2-norm.
-
-    Lemma.  Let f(0) = 0, J = f'(0) I + A, L >= ||J||_2, M = P(hJ) (RK4's
-    step matrix for r' = Jr), rho = 2 tau Q(hL), delta >= sup over
-    0 < |x| <= rho of |f(x)/x - f'(0)|, and K = L + delta.  If
-    Q(hK) <= 1.5 Q(hL), every |r| <= 4 tau / 3 has
-    |S(r)| <= (||M||_2 + P(hK) - P(hL)) |r|.
-
-    Proof.  Write F(x) = Jx + g(x).  Each |x_i| <= |x| <= rho gives
-    |g(x)| <= delta |x|, so |F(x)| <= K |x|.  RK4 evaluates k_i = F(y_i) at
-    y_1 = r and y_{i+1} = r + c_i h k_i, with c = (1/2, 1/2, 1).  By
-    induction |k_i| <= a_i |r|, where a_1 = K and a_{i+1} = K (1 + c_i h a_i),
-    so |y_i| <= Q(hK) |r| <= rho, which licenses the bound on g at every
-    stage.  The linear step's stages k'_i obey the same recursion with L in
-    place of K (call it b_i), and e_i = k_i - k'_i obeys |e_1| = |g(r)| <=
-    (a_1 - b_1) |r| and |e_{i+1}| <= L c_i h |e_i| + delta |y_{i+1}|, which
-    is (a_{i+1} - b_{i+1}) |r| by the same induction.  Hence
-    S(r) = Mr + (h/6)(e_1 + 2 e_2 + 2 e_3 + e_4), and the weighted sum of
-    a_i - b_i is P(hK) - P(hL).
-
-    Capture is allowed when that factor is at most 1 - 1e-9: the norm then
-    falls at every step, with room for rounding, so a row inside the ball
-    still has norm below tau at t_final, and `converged` flags it as a run
-    without capture would.  ||.||_2 is bounded by `_norm2_bound`; delta is
-    sum_{k>=2} |p_k| rho^(k-1) for a polynomial and |p1| p2^3 rho^2 / 3 for
-    p1 tanh(p2 r), since 1 - tanh(u)/u <= u^2/3.  Every other kind (the
-    sigmoid) is refused, and so is any origin whose linear step does not
-    contract (||M||_2 >= 1): an unstable one, or a stiff one where RK4
-    itself diverges (h |f'(0)| past about 2.79).
-    """
-    if not isinstance(f, (Polynomial, ScaledTanh)):
-        return 0.0
-    eye = np.eye(network.m)
-    hj = dt * network.a + (dt * float(f.derivative(0.0))) * eye
-    step = eye + hj / 4.0
-    for k in (3.0, 2.0, 1.0):  # Horner: M = I + hJ (I + hJ/2 (I + hJ/3 (I + hJ/4)))
-        step = eye + (hj @ step) / k
-    hl = _norm2_bound(hj)
-    rho = 2.0 * CONVERGED_NORM * _stage_poly(hl)
-    if isinstance(f, ScaledTanh):
-        delta = abs(f.p1) * f.p2 * f.p2 * f.p2 * rho * rho / 3.0
-    else:
-        delta = 0.0
-        for p in reversed(f.coeffs[1:]):
-            delta = (delta + abs(p)) * rho
-    hk = hl + dt * delta
-    factor = _norm2_bound(step) + _rk4_poly(hk) - _rk4_poly(hl)
-    if factor <= 1.0 - 1e-9 and _stage_poly(hk) <= 1.5 * _stage_poly(hl):
-        return CONVERGED_NORM
-    return 0.0
-
-
 def converged(
     network: ReservoirNetwork, f: NodalDynamics, initials, t_final: float, dt: float
 ) -> np.ndarray:
     """Per initial condition, whether the unforced trajectory's norm at
     t_final is below CONVERGED_NORM; a diverged (non-finite) row is not.
-    A row stops stepping once it enters that ball, when `_capture_radius`
-    proves it cannot leave."""
-    finals = simulate_unforced(
-        network, f, initials, t_final, dt, capture=_capture_radius(network, f, dt)
-    )
+    Rows stop stepping once they enter a ball the step map provably keeps
+    (`simulate_unforced` with capture): inside the CONVERGED_NORM ball about
+    the origin a row reads True, inside a trap about another equilibrium
+    False, as the full horizon would give."""
+    finals = simulate_unforced(network, f, initials, t_final, dt, capture=True)
     return np.linalg.norm(finals, axis=1) < CONVERGED_NORM
 
 

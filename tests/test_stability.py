@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rcstab as rc
-from rcstab import stability
+from rcstab import equilibria, stability
 from rcstab.errors import FixedPointError
 from rcstab.signals import rk4_steps
 from rcstab.stability import Regime, ShiftedDynamics
@@ -757,12 +757,15 @@ class TestRetiredRows:
 
     @staticmethod
     def counting(coeffs):
-        """A polynomial whose evaluate records the row count of each call."""
+        """A polynomial whose evaluate records the row count of each call on
+        a batch of rows; the trap search's calls on one point are not
+        counted."""
         counts = []
 
         class Counting(rc.Polynomial):
             def evaluate(self, params, r, out):
-                counts.append(len(r))
+                if r.ndim == 2:
+                    counts.append(len(r))
                 return super().evaluate(params, r, out)
 
         return Counting(coeffs), counts
@@ -828,6 +831,13 @@ class TestRetiredRows:
         assert counts[0] == 900
         assert len(counts) < 4 * 250
 
+    def test_empty_batch_returns_at_once(self, two_node_system):
+        net, _ = two_node_system
+        f, counts = self.counting((-3.0, 4.0, -1.0))
+        flags = stability.converged(net, f, np.empty((0, 2)), 50.0, 0.02)
+        assert flags.shape == (0,)
+        assert counts == []
+
     def test_error_in_f_reaches_caller(self, two_node_system):
         net, _ = two_node_system
 
@@ -854,16 +864,27 @@ class TestRetiredRows:
 
 class TestCapture:
     """`converged` stops a row once it enters a ball the step map provably
-    keeps; its flags stay those of a run without capture."""
+    keeps: the CONVERGED_NORM ball about the origin, or a trap about another
+    equilibrium.  Its flags stay those of a run without capture."""
 
     @staticmethod
     def uncaptured_flags(net, f, initials, t_final=50.0, dt=0.02):
         finals = stability.simulate_unforced(net, f, initials, t_final, dt)
         return np.linalg.norm(finals, axis=1) < stability.CONVERGED_NORM
 
+    @staticmethod
+    def origin_kept(net, f, dt=0.02):
+        origin = np.zeros(net.m)
+        return equilibria.ball_kept(net.a, f, dt, origin, stability.CONVERGED_NORM)
+
+    @staticmethod
+    def traps(balls):
+        """The kept balls other than the origin's CONVERGED_NORM ball."""
+        return [(q, tau) for q, tau in balls.kept if np.any(q != 0.0)]
+
     def test_two_node_grid_matches_uncaptured(self, two_node_system):
         net, f = two_node_system
-        assert stability._capture_radius(net, f, 0.02) == stability.CONVERGED_NORM
+        assert self.origin_kept(net, f)
         initials = TestRetiredRows.grid(100, 4.0)
         flags = stability.converged(net, f, initials, 50.0, 0.02)
         assert np.array_equal(flags, self.uncaptured_flags(net, f, initials))
@@ -872,7 +893,7 @@ class TestCapture:
     @pytest.mark.parametrize("m, seed", [(5, 0), (20, 1)])
     def test_random_batch_matches_uncaptured(self, m, seed):
         net = rc.construct_adjacency(m, seed=seed, input_coupling="signs")
-        assert stability._capture_radius(net, CUBIC, 0.02) == stability.CONVERGED_NORM
+        assert self.origin_kept(net, CUBIC)
         initials = np.random.default_rng(seed).normal(size=(1000, m))
         flags = stability.converged(net, CUBIC, initials, 50.0, 0.02)
         assert np.array_equal(flags, self.uncaptured_flags(net, CUBIC, initials))
@@ -889,7 +910,7 @@ class TestCapture:
     )
     def test_refused_and_flags_unchanged(self, two_node_system, f):
         net, _ = two_node_system
-        assert stability._capture_radius(net, f, 0.02) == 0.0
+        assert not self.origin_kept(net, f)
         initials = np.vstack([TestRetiredRows.grid(10, 1.0), [[1e-5, 0.0]]])
         flags = stability.converged(net, f, initials, 10.0, 0.02)
         assert np.array_equal(flags, self.uncaptured_flags(net, f, initials, 10.0))
@@ -906,8 +927,8 @@ class TestCapture:
     def test_ball_is_kept_by_the_reference_loop(self, a, coeffs, dt, directions):
         net = rc.ReservoirNetwork(a=np.reshape(a, (2, 2)), w=np.zeros(2))
         f = rc.Polynomial(coeffs)
-        tau = stability._capture_radius(net, f, dt)
-        assume(tau > 0)
+        assume(self.origin_kept(net, f, dt))
+        tau = stability.CONVERGED_NORM
         initials = np.array(directions)
         norms = np.linalg.norm(initials, axis=1, keepdims=True)
         assume(np.all(norms > 1e-3))
@@ -920,6 +941,153 @@ class TestCapture:
             now = np.linalg.norm(state, axis=1)
             assert np.all(now < tau)
             assert np.all(now <= previous)
+
+    def test_basin_window_matches_uncaptured(self, two_node_system):
+        # the shipped basin: 200 x 200 rows in two blocks, which share a trap
+        net, f = two_node_system
+        initials = TestRetiredRows.grid(200, 4.0)
+        flags = stability.converged(net, f, initials, 50.0, 0.02)
+        assert np.array_equal(flags, self.uncaptured_flags(net, f, initials))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 42])
+    def test_basin_verify_matches_uncaptured(self, two_node_system, seed):
+        net, f = two_node_system
+        c_max = rc.cmax_continuous(f, rc.alpha_max(net.a)).c_max
+        for c in (0.999 * c_max, 3.0):
+            rng = np.random.default_rng(seed)  # basin_verify's own draw
+            direction = rng.normal(size=(10_000, 2))
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            initials = c * rng.uniform(size=(10_000, 1)) ** 0.5 * direction
+            expected = float(self.uncaptured_flags(net, f, initials).mean())
+            assert rc.basin_verify(net, f, c, 10_000, seed) == expected
+
+    def test_basin_window_work_bound(self, two_node_system, monkeypatch):
+        net, f = two_node_system
+        row_steps = [0]
+        original = stability._unforced_steps
+
+        def counted(a_t, f, live, dt):
+            for state in original(a_t, f, live, dt):
+                row_steps[0] += len(state)
+                yield state
+
+        monkeypatch.setattr(stability, "_unforced_steps", counted)
+        stability.converged(net, f, TestRetiredRows.grid(200, 4.0), 50.0, 0.02)
+        # 12.7 million with the origin's ball alone
+        assert row_steps[0] <= 7_000_000
+
+    def test_search_cost_is_bounded(self, two_node_system, monkeypatch):
+        net, f = two_node_system
+        runs, lemmas, made = [], [], []
+        newton, kept = equilibria.newton, equilibria.ball_kept
+
+        def counted_newton(*args):
+            runs.append(args[0].copy())
+            return newton(*args)
+
+        def counted_kept(*args):
+            lemmas.append(args[3])
+            return kept(*args)
+
+        class Recorded(equilibria.Balls):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(equilibria, "newton", counted_newton)
+        monkeypatch.setattr(equilibria, "ball_kept", counted_kept)
+        monkeypatch.setattr(stability, "Balls", Recorded)
+        stability.converged(net, f, TestRetiredRows.grid(200, 4.0), 50.0, 0.02)
+        (balls,) = made  # one for both blocks
+        (q, tau), = self.traps(balls)
+        assert np.allclose(q, (2.903, -0.535), atol=1e-3)
+        assert tau == equilibria.TRAP_RADII[0]
+        # one run at most per check of either block, and none once the
+        # least-moving row is trapped: 2 runs here
+        assert len(runs) <= 8
+        # the origin's ball, then every radius at most once per point reached
+        found = len(balls.kept) + len(balls.refused) - 2  # less the origin twice
+        assert len(lemmas) <= 1 + len(equilibria.TRAP_RADII) * found
+
+    def test_saddle_is_refused_once(self, two_node_system, monkeypatch):
+        net, f = two_node_system
+        balls = equilibria.Balls(net.a, f, 0.02, stability.CONVERGED_NORM)
+        lemmas = []
+        kept = equilibria.ball_kept
+        monkeypatch.setattr(equilibria, "ball_kept", lambda *args: lemmas.append(1) or kept(*args))
+        balls.search(np.array([1.1, -0.3]))
+        assert not self.traps(balls)
+        saddle = balls.refused[-1]
+        assert np.allclose(saddle, (1.128, -0.271), atol=1e-3)
+        assert len(lemmas) == len(equilibria.TRAP_RADII)
+        balls.search(np.array([1.15, -0.25]))
+        assert len(lemmas) == len(equilibria.TRAP_RADII)
+        assert len(balls.refused) == 2  # the origin and the saddle
+        # the row next to the saddle moved least, yet the search starts elsewhere
+        starts = []
+        monkeypatch.setattr(balls, "search", starts.append)
+        live = np.array([saddle + 1e-3, [2.0, 0.5], [2.5, 0.0]])
+        balls.search_least_moving(live, np.array([0.0, 2.0, 1.0]))
+        assert np.array_equal(starts, [[2.5, 0.0]])
+
+    def test_sigmoid_gets_no_ball(self, two_node_system):
+        net, _ = two_node_system
+        f = rc.Sigmoid(-1.0, 1.0)
+        q, _ = equilibria.newton(
+            np.zeros(2), lambda x: f.raw(x) + net.a @ x, lambda x: net.a + np.diag(f.derivative(x))
+        )
+        assert np.max(np.abs(f.raw(q) + net.a @ q)) <= 1e-12
+        for tau in (stability.CONVERGED_NORM, *equilibria.TRAP_RADII):
+            assert not equilibria.ball_kept(net.a, f, 0.02, q, tau)
+
+    def test_no_trap_reaches_the_converged_ball(self, two_node_system, monkeypatch):
+        net, f = two_node_system
+        balls = equilibria.Balls(net.a, f, 0.02, stability.CONVERGED_NORM)
+        balls.search(np.array([2.8, -0.5]))
+        ((q, _),) = self.traps(balls)
+        reach = float(np.linalg.norm(q)) - stability.CONVERGED_NORM
+        monkeypatch.setattr(equilibria, "ball_kept", lambda *args: True)
+        monkeypatch.setattr(equilibria, "TRAP_RADII", (reach, 0.1))
+        balls = equilibria.Balls(net.a, f, 0.02, stability.CONVERGED_NORM)
+        balls.search(np.array([2.8, -0.5]))
+        assert [tau for _, tau in self.traps(balls)] == [0.1]
+        monkeypatch.setattr(equilibria, "TRAP_RADII", (reach,))
+        balls = equilibria.Balls(net.a, f, 0.02, stability.CONVERGED_NORM)
+        balls.search(np.array([2.8, -0.5]))
+        assert not self.traps(balls)
+        assert np.allclose(balls.refused[-1], q)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+        roots=st.tuples(st.floats(0.2, 1.5), st.floats(0.5, 3.0)),
+        p3=st.floats(-3.0, -0.3),
+        sign=st.sampled_from([-1.0, 1.0]),
+        dt=st.floats(1e-3, 0.2),
+        directions=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6
+        ),
+    )
+    def test_trap_is_kept_by_the_reference_loop(self, a, roots, p3, sign, dt, directions):
+        # p3 r (r - s u)(r - s v), v = u + w: per node, a stable outer root s v
+        u, w = roots
+        v = u + w
+        f = rc.Polynomial((p3 * u * v, -p3 * sign * (u + v), p3))
+        net = rc.ReservoirNetwork(a=np.reshape(a, (2, 2)), w=np.zeros(2))
+        balls = equilibria.Balls(net.a, f, dt, stability.CONVERGED_NORM)
+        balls.search(np.full(2, sign * v))
+        traps = self.traps(balls)
+        assume(traps)
+        ((q, tau),) = traps
+        initials = np.array(directions)
+        norms = np.linalg.norm(initials, axis=1, keepdims=True)
+        assume(np.all(norms > 1e-3))
+        # on the sphere of radius tau about q, from just inside
+        state = q + initials / norms * (tau * (1.0 - 1e-12))
+        assume(np.all(np.linalg.norm(state - q, axis=1) < tau))
+        for _ in range(500):
+            state = reference_unforced(net, f, state, dt, dt)
+            assert np.all(np.linalg.norm(state - q, axis=1) < tau)
 
 
 class TestAnalyzeDispatch:
